@@ -51,6 +51,7 @@ GATE_BENCHMARKS = (
     "bench_verification.py",
     "bench_replication.py",
     "bench_fleet.py",
+    "bench_service.py",
 )
 GATE_RESULTS = (
     "fig5_insert_scaling.json",
@@ -60,6 +61,7 @@ GATE_RESULTS = (
     "verification_kernel.json",
     "replication.json",
     "fleet_failover.json",
+    "service_throughput.json",
 )
 
 #: Fixed digest workloads: (dataset, delete strategy).

@@ -12,6 +12,14 @@ request stream cost under each policy.
 The coalescing acceptance check lives here too: with concurrent clients
 the mean batch size under the default window must exceed 1 — otherwise
 the writer is degenerating to one cycle per request.
+
+A single-threaded publish leg records the deterministic work of snapshot
+publication (no HTTP, no timing): fixed Tax rows go through
+``DurableSession.insert`` one at a time, each followed by
+``build_snapshot`` with the writer's canonical cover.  Its
+``snapshot.sigma_delta`` (raw Σ masks added plus removed) and
+``snapshot.cover_forms_examined`` counters are gated by
+``bench_gate.py``: a publish that re-examines all of Σ again fails there.
 """
 
 import threading
@@ -20,9 +28,10 @@ import time
 from _harness import ResultTable, timed
 
 from repro.core.discoverer import DCDiscoverer
+from repro.dcs.canonical import CanonicalCover
 from repro.durability import DurableSession
 from repro.relational.loader import relation_from_rows
-from repro.service import DCService, ServiceClient, ServiceConfig
+from repro.service import DCService, ServiceClient, ServiceConfig, build_snapshot
 from repro.workloads import DATASETS
 
 DATASET = "Tax"
@@ -30,6 +39,9 @@ STATIC_ROWS = 120
 N_CLIENTS = 4
 OPS_PER_CLIENT = 15
 WINDOWS_MS = (5.0, 0.0)
+#: Rows the publish leg writes, one insert and one publish each.
+PUBLISH_ROWS = 40
+PUBLISH_COUNTERS = ("snapshot.sigma_delta", "snapshot.cover_forms_examined")
 
 
 def percentile(samples, q: float) -> float:
@@ -97,6 +109,29 @@ def run_closed_loop(tmp_path, window_ms: float) -> dict:
     }
 
 
+def run_publish_leg(tmp_path) -> dict:
+    """Publish work counters of single-row writes, summed over the leg.
+
+    Seeding the cover (the first snapshot) is left out: what is gated is
+    the per-write cost, which must follow the Σ diff, not |Σ|.
+    """
+    spec = DATASETS[DATASET]
+    rows = spec.rows(STATIC_ROWS + PUBLISH_ROWS, seed=0)
+    discoverer = DCDiscoverer(relation_from_rows(spec.header, rows[:STATIC_ROWS]))
+    discoverer.fit()
+    session = DurableSession.create(discoverer, tmp_path / "session-publish")
+    cover = CanonicalCover(discoverer.space)
+    snapshot = build_snapshot(session, None, cover)
+    metrics = discoverer.instrumentation.metrics
+    before = dict(metrics.counters)
+    for row in rows[STATIC_ROWS:]:
+        session.insert([row])
+        snapshot = build_snapshot(session, snapshot, cover)
+    counters = metrics.counter_delta(before)
+    session.close()
+    return {name: counters.get(name, 0) for name in PUBLISH_COUNTERS}
+
+
 def endpoint_quantiles(metrics) -> dict:
     """Server-side p50/p95/p99 per endpoint from the live histograms.
 
@@ -153,6 +188,10 @@ def test_service_throughput(benchmark, tmp_path):
         str(window_ms): measurements[window_ms]["endpoint_latency"]
         for window_ms in WINDOWS_MS
     }
+    publish_label = (
+        f"publish {DATASET} {STATIC_ROWS}+{PUBLISH_ROWS} single-row writes"
+    )
+    table.counters[publish_label] = run_publish_leg(tmp_path)
 
     coalesced = measurements[5.0]
     uncoalesced = measurements[0.0]
@@ -171,6 +210,11 @@ def test_service_throughput(benchmark, tmp_path):
             "cycles without a window",
             "single-row closed-loop writes; each cycle = one WAL "
             "round-trip + one snapshot publish regardless of batch size",
+            f"{publish_label}: "
+            + ", ".join(
+                f"{name} {value}"
+                for name, value in table.counters[publish_label].items()
+            ),
         ]
     )
 

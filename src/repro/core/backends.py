@@ -9,7 +9,7 @@ and ``delete``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import AbstractSet, FrozenSet, Iterable, List, Sequence
 
 from repro.enumeration.dynamic import dynei_delete
 from repro.enumeration.dynamic_hs import DynHS
@@ -67,6 +67,10 @@ class DynEIBackend:
     def masks(self) -> List[int]:
         return sorted(self._trie.masks())
 
+    @property
+    def mask_set(self) -> AbstractSet[int]:
+        return self._trie.mask_set
+
     def set_masks(
         self, masks: Sequence[int], evidence_masks: Iterable[int] = ()
     ) -> None:
@@ -105,6 +109,10 @@ class DynHSBackend:
     def masks(self) -> List[int]:
         return self._enumerator.dc_masks
 
+    @property
+    def mask_set(self) -> AbstractSet[int]:
+        return self._enumerator.dc_mask_set
+
     def set_masks(
         self, masks: Sequence[int], evidence_masks: Iterable[int] = ()
     ) -> None:
@@ -127,7 +135,7 @@ class FixedSigmaBackend:
 
     def __init__(self, space: PredicateSpace):
         self._space = space
-        self._masks: List[int] = []
+        self._masks: FrozenSet[int] = frozenset()
 
     def bootstrap(self, evidence_masks: Iterable[int]) -> None:
         pass
@@ -145,12 +153,16 @@ class FixedSigmaBackend:
 
     @property
     def masks(self) -> List[int]:
-        return list(self._masks)
+        return sorted(self._masks)
+
+    @property
+    def mask_set(self) -> AbstractSet[int]:
+        return self._masks
 
     def set_masks(
         self, masks: Sequence[int], evidence_masks: Iterable[int] = ()
     ) -> None:
-        self._masks = sorted(set(masks))
+        self._masks = frozenset(masks)
 
 
 _BACKENDS = {

@@ -20,7 +20,7 @@ derived view of the report's first span level.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.backends import make_backend
 from repro.core.results import DiscoveryResult, UpdateResult
@@ -219,13 +219,13 @@ class DCDiscoverer:
         logger.debug(
             "fit: %d rows, %d predicates, %d evidences, %d DCs in %.3fs",
             len(self.relation), self.space.n_bits,
-            len(self._state.evidence), len(self.dc_masks), root.duration,
+            len(self._state.evidence), self.n_dcs, root.duration,
         )
         return DiscoveryResult(
             n_rows=len(self.relation),
             n_predicates=self.space.n_bits,
             n_evidence=len(self._state.evidence),
-            n_dcs=len(self.dc_masks),
+            n_dcs=self.n_dcs,
             timings=report.phase_timings(),
             report=report,
         )
@@ -313,14 +313,14 @@ class DCDiscoverer:
         logger.debug(
             "fit(verify): %d rows, %d predicates, %d constraints, "
             "%d violating pairs in %.3fs",
-            len(self.relation), self.space.n_bits, len(self.dc_masks),
+            len(self.relation), self.space.n_bits, self.n_dcs,
             self._verify_watcher.total_violations(), root.duration,
         )
         return DiscoveryResult(
             n_rows=len(self.relation),
             n_predicates=self.space.n_bits,
             n_evidence=0,
-            n_dcs=len(self.dc_masks),
+            n_dcs=self.n_dcs,
             timings=report.phase_timings(),
             report=report,
         )
@@ -344,7 +344,7 @@ class DCDiscoverer:
         instrumentation = self.instrumentation
         tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
-        previous_masks = set(self._backend.masks)
+        previous_masks = set(self._backend.mask_set)
 
         with instrumentation.activate():
             with tracer.span("insert") as root:
@@ -411,7 +411,7 @@ class DCDiscoverer:
         instrumentation = self.instrumentation
         tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
-        previous_masks = set(self._backend.masks)
+        previous_masks = set(self._backend.mask_set)
 
         with instrumentation.activate():
             with tracer.span("delete") as root:
@@ -482,7 +482,7 @@ class DCDiscoverer:
         instrumentation = self.instrumentation
         tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
-        previous_masks = set(self._backend.masks)
+        previous_masks = set(self._backend.mask_set)
         with instrumentation.activate():
             with tracer.span("insert") as root:
                 with tracer.span("evidence"):
@@ -519,7 +519,7 @@ class DCDiscoverer:
         instrumentation = self.instrumentation
         tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
-        previous_masks = set(self._backend.masks)
+        previous_masks = set(self._backend.mask_set)
         with instrumentation.activate():
             with tracer.span("delete") as root:
                 with tracer.span("evidence"):
@@ -554,10 +554,9 @@ class DCDiscoverer:
     def _update_result(
         self, kind, rids, n_changed, previous_masks, root, before
     ) -> UpdateResult:
-        current = self._backend.masks
-        current_set = set(current)
-        n_new = len(current_set - previous_masks)
-        n_removed = len(previous_masks - current_set)
+        current = self._backend.mask_set
+        n_new = len(current - previous_masks)
+        n_removed = len(previous_masks) - len(current) + n_new
         instrumentation = self.instrumentation
         if instrumentation.enabled:
             instrumentation.inc("discoverer.dcs_added", n_new)
@@ -593,7 +592,7 @@ class DCDiscoverer:
         instrumentation.set_gauge(
             "discoverer.evidence_distinct", len(self._state.evidence)
         )
-        instrumentation.set_gauge("discoverer.dcs", len(self._backend.masks))
+        instrumentation.set_gauge("discoverer.dcs", len(self._backend.mask_set))
 
     # -- results ------------------------------------------------------------------
 
@@ -602,6 +601,20 @@ class DCDiscoverer:
         """Current minimal DC predicate masks (the empty mask excluded)."""
         self._require_fitted()
         return [mask for mask in self._backend.masks if mask]
+
+    @property
+    def dc_mask_set(self) -> AbstractSet[int]:
+        """:attr:`dc_masks` as an unsorted read-only view, valid until the
+        next update — for per-write consumers that cannot afford to sort
+        all of Σ."""
+        self._require_fitted()
+        masks = self._backend.mask_set
+        return masks - {0} if 0 in masks else masks
+
+    @property
+    def n_dcs(self) -> int:
+        """``len(self.dc_masks)``, without building the list."""
+        return len(self.dc_mask_set)
 
     @property
     def dcs(self) -> List[DenialConstraint]:

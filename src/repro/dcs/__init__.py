@@ -11,7 +11,7 @@ from repro.dcs.violations import (
 )
 from repro.dcs.ranking import DCScore, coverage, rank_dcs, score_dc, succinctness
 from repro.dcs.approximate import approximate_dcs, violation_count
-from repro.dcs.canonical import canonicalize_mask, canonicalize_masks
+from repro.dcs.canonical import CanonicalCover, canonicalize_mask, canonicalize_masks
 from repro.dcs.dynamic_approximate import (
     ApproximateDCMonitor,
     MonitorReport,
@@ -46,6 +46,7 @@ __all__ = [
     "succinctness",
     "approximate_dcs",
     "violation_count",
+    "CanonicalCover",
     "canonicalize_mask",
     "canonicalize_masks",
     "ApproximateDCMonitor",

@@ -633,7 +633,7 @@ class DurableSession:
         return {
             "directory": self.directory,
             "rows": len(self.discoverer.relation),
-            "dcs": len(self.discoverer.dc_masks),
+            "dcs": self.discoverer.n_dcs,
             "evidence_distinct": len(self.discoverer.evidence_set),
             "next_seq": self._next_seq,
             "checkpoint_seq": self._checkpoint_seq,

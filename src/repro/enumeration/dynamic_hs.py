@@ -17,7 +17,7 @@ with large Σ (Figures 11 and 12).
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import AbstractSet, Iterable, List
 
 from repro.bitmaps.bitutils import iter_bits
 from repro.observability.probe import get_probe
@@ -81,6 +81,11 @@ class DynHS:
     def dc_masks(self) -> List[int]:
         """Current minimal DC masks, sorted."""
         return sorted(self._sigma)
+
+    @property
+    def dc_mask_set(self) -> AbstractSet[int]:
+        """Current minimal DC masks as a read-only, unsorted view."""
+        return self._sigma.keys()
 
     def insert_evidence(self, new_evidence_masks: Iterable[int]) -> None:
         """Fold in evidences that newly appeared (insert case)."""

@@ -31,7 +31,6 @@ from repro.replication.source import ReplicationError
 from repro.service import protocol
 from repro.service.config import ServiceConfig
 from repro.service.server import DCService
-from repro.service.snapshot import build_snapshot
 
 logger = get_logger(__name__)
 
@@ -86,9 +85,7 @@ class FollowerService(DCService):
         while not self._replication_stop.is_set():
             self._apply_pending_repoint()
             try:
-                applied = self.follower.poll(
-                    wait_s=self.config.follow_poll_wait_s
-                )
+                self.replicate_once(wait_s=self.config.follow_poll_wait_s)
             except (OSError, ReplicationError, ServiceError) as exc:
                 # Transient by assumption: the primary is down, draining,
                 # or mid-rotation.  Keep the replica serving its current
@@ -110,10 +107,20 @@ class FollowerService(DCService):
                     "replication_failure", error=str(exc)
                 )
                 return
-            if applied:
-                with self._metrics_lock:
-                    self.session.export_gauges()
-                self._publish(build_snapshot(self.session))
+
+    def replicate_once(self, wait_s: float = 0.0) -> int:
+        """Poll the upstream once and publish a snapshot if the session
+        moved (frames applied or a checkpoint installed); returns the
+        records applied.  One step of the replication loop."""
+        applied = self.follower.poll(wait_s=wait_s)
+        if (
+            self.session.last_applied_seq != self.snapshot.seq
+            or self.session.discoverer is not self._cover_source
+        ):
+            with self._metrics_lock:
+                self.session.export_gauges()
+            self._publish_current()
+        return applied
 
     def shutdown(self) -> None:
         self._replication_stop.set()

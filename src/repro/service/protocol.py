@@ -14,6 +14,8 @@ Status-code semantics (docs/service.md spells out the full contract):
 - ``409`` — the read carried a ``min_seq`` staleness bound this node
   could not reach within its wait budget: retry here later, or read a
   fresher node;
+- ``413`` — the request body is larger than :data:`MAX_BODY_BYTES`
+  (refused unread; the connection is closed);
 - ``421`` — the node is a read-only follower and the request was a
   write: redirect to the ``primary_url`` in the response;
 - ``429`` — the write queue is full (backpressure): retry with backoff;
@@ -36,6 +38,7 @@ ERR_NOT_FOUND = "not_found"
 ERR_STALE = "stale"
 ERR_FENCED = "fenced"
 ERR_NOT_PRIMARY = "not_primary"
+ERR_TOO_LARGE = "too_large"
 ERR_SATURATED = "saturated"
 ERR_TIMEOUT = "timeout"
 ERR_DRAINING = "draining"
@@ -47,6 +50,7 @@ STATUS_OF_ERROR = {
     ERR_NOT_FOUND: 404,
     ERR_STALE: 409,
     ERR_FENCED: 409,
+    ERR_TOO_LARGE: 413,
     ERR_NOT_PRIMARY: 421,
     ERR_SATURATED: 429,
     ERR_TIMEOUT: 503,
@@ -55,8 +59,40 @@ STATUS_OF_ERROR = {
 }
 
 
+#: Largest request body a node reads, in bytes.  A write of this size is
+#: tens of thousands of rows; anything larger is refused before reading.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
 class ProtocolError(ValueError):
     """A request body that cannot be honored (maps to HTTP 400)."""
+
+
+class BodyTooLargeError(ProtocolError):
+    """A declared body length above :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
+
+def body_length(header: Optional[str]) -> int:
+    """The byte count a ``Content-Length`` header declares.
+
+    Raises :class:`ProtocolError` for a malformed or negative value and
+    :class:`BodyTooLargeError` above :data:`MAX_BODY_BYTES` — both before
+    a single body byte is read.
+    """
+    if header is None or not header.strip():
+        return 0
+    text = header.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ProtocolError(
+            f"Content-Length must be a non-negative integer, got {header!r}"
+        )
+    length = int(text)
+    if length > MAX_BODY_BYTES:
+        raise BodyTooLargeError(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
+    return length
 
 
 class StaleReadError(RuntimeError):

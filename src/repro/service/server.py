@@ -36,6 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
+from repro.dcs.canonical import CanonicalCover
 from repro.dcs.denial_constraint import DenialConstraint
 from repro.dcs.violations import UnsupportedProbeError
 from repro.durability.session import SessionFencedError
@@ -119,8 +120,15 @@ class DCService:
         #: Signaled on every snapshot publish; min_seq-bounded reads and
         #: replication long-polls wait on it instead of busy-spinning.
         self._publish_cond = threading.Condition()
-        self._snapshot = build_snapshot(session)
-        self.published_seqs.append(self._snapshot.seq)
+        #: The writer's canonical cover of Σ, fed one diff per publish,
+        #: and the discoverer it tracks (readers never touch either).  The
+        #: lock covers a promotion handing publishing from a replication
+        #: thread that outlived its join to the writer thread.
+        self._cover: Optional[CanonicalCover] = None
+        self._cover_source = None
+        self._cover_lock = threading.Lock()
+        self._snapshot: Optional[Snapshot] = None
+        self._publish_current()
         self._writer: Optional[threading.Thread] = None
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
@@ -440,9 +448,6 @@ class DCService:
                 return
             seq = self.session.last_applied_seq
             with self._metrics_lock:
-                self.instrumentation.observe(
-                    "service.cycle_seconds", time.perf_counter() - started
-                )
                 self.session.export_gauges()
                 work_totals = {
                     name: self.instrumentation.metrics.counter(name)
@@ -452,13 +457,16 @@ class DCService:
             if cycle_span is not None:
                 cycle_span["attrs"]["seq"] = seq
                 cycle_span["attrs"]["work"] = dict(work_totals)
+            self._publish_current()
+        self._metric_observe(
+            "service.cycle_seconds", time.perf_counter() - started
+        )
         # Per-request work attribution: split the cycle's counter deltas
         # across admitted requests, weighted by row count, exactly (the
         # shares always sum back to the cycle totals).
         weights = [max(1, len(rids)) for _, rids in batch.deletes]
         weights += [max(1, count) for _, _, count in batch.inserts]
         shares = split_counters(work_totals, weights)
-        self._publish(build_snapshot(self.session))
         position = 0
         for request, rid_list in batch.deletes:
             request.resolve(
@@ -489,6 +497,35 @@ class DCService:
     def snapshot(self) -> Snapshot:
         """The latest published snapshot (atomic reference read)."""
         return self._snapshot
+
+    def _publish_current(self) -> None:
+        """Snapshot the session's current state and publish it.
+
+        The snapshot is built from the Σ diff since the previous one,
+        through the writer's cover.  The cover is rebuilt (seeded from
+        all of Σ) only when the session's discoverer was replaced, as by
+        a follower's checkpoint install, or when a build failed midway.
+        """
+        started = time.perf_counter()
+        with self._cover_lock:
+            discoverer = self.session.discoverer
+            previous = self._snapshot
+            if discoverer is not self._cover_source:
+                self._cover = CanonicalCover(discoverer.space)
+                self._cover_source = discoverer
+                previous = None
+            try:
+                with trace_span("service.publish"):
+                    snapshot = build_snapshot(
+                        self.session, previous, self._cover
+                    )
+            except BaseException:
+                self._cover_source = None  # the cover may be half-fed
+                raise
+            self._publish(snapshot)
+        self._metric_observe(
+            "service.publish_seconds", time.perf_counter() - started
+        )
 
     def _publish(self, snapshot: Snapshot) -> None:
         """Publish a snapshot and wake everything waiting for its seq."""
@@ -850,6 +887,8 @@ def _make_handler(service: DCService):
                 self.send_header("X-Trace-Id", trace.trace_id)
             for name, value in (headers or {}).items():
                 self.send_header(name, str(value))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -860,7 +899,15 @@ def _make_handler(service: DCService):
             )
 
         def _read_body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = protocol.body_length(
+                    self.headers.get("Content-Length")
+                )
+            except protocol.ProtocolError:
+                # The body stays unread, so the stream cannot be resynced
+                # for another request on this connection.
+                self.close_connection = True
+                raise
             return protocol.decode(self.rfile.read(length))
 
         def _route(self, method: str) -> None:
@@ -885,6 +932,8 @@ def _make_handler(service: DCService):
                         )
                         return
                     handler(self, parse_qs(url.query))
+            except protocol.BodyTooLargeError as exc:
+                self._respond_error(protocol.ERR_TOO_LARGE, str(exc))
             except protocol.ProtocolError as exc:
                 self._respond_error(protocol.ERR_BAD_REQUEST, str(exc))
             except protocol.StaleReadError as exc:

@@ -13,7 +13,12 @@ alone, so reads never block on — and are never blocked by — the writer:
   is mid-way through;
 - the predicate space is shared by reference — it is frozen at fit()
   time by design (the DC search space is a property of the schema and
-  the initial distributions, Section III), so sharing is safe.
+  the initial distributions, Section III), so sharing is safe;
+- Σ (``dc_masks``, sorted) and its canonical cover (``canonical``) are
+  lists nobody mutates, so a snapshot whose Σ did not change shares
+  them with its predecessor; the writer's
+  :class:`~repro.dcs.canonical.CanonicalCover` that derives them is
+  never reachable from a snapshot.
 
 A snapshot also answers the serving-time question of the companion
 detection line of work: :meth:`Snapshot.check` runs the candidate row
@@ -25,10 +30,11 @@ committed, at index-probe cost.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from repro.bitmaps.bitutils import iter_bits
-from repro.dcs.canonical import canonicalize_masks
+from repro.dcs.canonical import CanonicalCover, canonicalize_masks
 from repro.dcs.denial_constraint import DenialConstraint
 from repro.dcs.ranking import rank_dcs
 from repro.dcs.violations import violating_partners_for_row
@@ -217,6 +223,9 @@ class Snapshot:
         )
 
 
+_mask_of = attrgetter("mask")
+
+
 def _rid_list(bits: int, limit: Optional[int]) -> List[int]:
     rids = []
     for rid in iter_bits(bits):
@@ -231,28 +240,92 @@ def _copy_relation(relation: Relation) -> Relation:
     return Relation.from_sparse_rows(relation.schema, rows, relation.next_rid)
 
 
-def build_snapshot(session) -> Snapshot:
+def build_snapshot(
+    session,
+    previous: Optional[Snapshot] = None,
+    cover: Optional[CanonicalCover] = None,
+) -> Snapshot:
     """Materialize the current session state as an immutable snapshot.
 
     Called by the writer thread between cycles — never concurrently with
     maintenance, so plain reads of the live structures are safe here.
+
+    ``cover`` is the writer's :class:`~repro.dcs.canonical.CanonicalCover`
+    and ``previous`` the snapshot it last published with it (``None``
+    with a fresh cover).  Σ is then diffed against ``previous.dc_masks``
+    and only the diff goes through the cover, so publication costs
+    O(ΔΣ) plus a linear scan; an unchanged Σ reuses the previous lists.
+    Without a cover, Σ is canonicalized from scratch.
     """
     discoverer = session.discoverer
+    space = discoverer.space
     relation_copy = _copy_relation(discoverer.relation)
     indexes = discoverer.engine_state.indexes.snapshot_clone(relation_copy)
-    dc_masks = list(discoverer.dc_masks)
-    canonical = [
-        DenialConstraint(mask, discoverer.space)
-        for mask in canonicalize_masks(dc_masks, discoverer.space)
-    ]
+    if cover is None:
+        dc_masks = discoverer.dc_masks
+        canonical = [
+            DenialConstraint(mask, space)
+            for mask in canonicalize_masks(dc_masks, space)
+        ]
+    else:
+        dc_masks, canonical = _diff_into_cover(
+            discoverer, previous, cover
+        )
     evidence = EvidenceSet(dict(discoverer.evidence_set.counts))
     return Snapshot(
         seq=session.last_applied_seq,
         relation=relation_copy,
         indexes=indexes,
-        space=discoverer.space,
+        space=space,
         dc_masks=dc_masks,
         canonical=canonical,
         evidence=evidence,
         status=session.status(),
     )
+
+
+def _diff_into_cover(discoverer, previous, cover):
+    """The snapshot's ``(dc_masks, canonical)`` from the Σ diff since
+    ``previous`` (all of Σ for a fresh cover), fed through ``cover``."""
+    if previous is None:
+        if len(cover):
+            raise ValueError("a cover that was already fed needs its previous snapshot")
+        old_masks, old_canonical = [], []
+    else:
+        old_masks, old_canonical = previous.dc_masks, previous.canonical
+    live = discoverer.dc_mask_set
+    removed = [mask for mask in old_masks if mask not in live]
+    if len(live) == len(old_masks) - len(removed):
+        added = ()
+    else:
+        added = live - set(old_masks)
+    if not removed and not added:
+        return old_masks, old_canonical
+    delta = cover.apply(added, removed)
+    instrumentation = discoverer.instrumentation
+    if instrumentation.enabled:
+        instrumentation.inc("snapshot.sigma_delta", len(added) + len(removed))
+        instrumentation.inc("snapshot.cover_forms_examined", delta.examined)
+    dc_masks = _merged(old_masks, removed, added)
+    if not delta.entered and not delta.left:
+        return dc_masks, old_canonical
+    left = set(delta.left)
+    canonical = [dc for dc in old_canonical if dc.mask not in left]
+    space = discoverer.space
+    canonical.extend(DenialConstraint(mask, space) for mask in delta.entered)
+    canonical.sort(key=_mask_of)
+    return dc_masks, canonical
+
+
+def _merged(ordered: List[int], removed, added) -> List[int]:
+    """``ordered`` minus ``removed`` plus ``added``, sorted in linear time:
+    the kept masks and the sorted additions are two runs that one
+    Timsort pass merges."""
+    if removed:
+        removed = set(removed)
+        merged = [mask for mask in ordered if mask not in removed]
+    else:
+        merged = list(ordered)
+    merged.extend(sorted(added))
+    merged.sort()
+    return merged

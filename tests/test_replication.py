@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro import DCDiscoverer, DurableSession, relation_from_rows
 from repro.core.state_io import state_to_bytes
+from repro.dcs.canonical import canonicalize_masks
 from repro.durability import (
     FAULT_POINTS,
     SimulatedCrash,
@@ -63,6 +64,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     ServiceStaleError,
+    build_snapshot,
 )
 from tests.conftest import random_rows
 from tests.test_crash_matrix import (
@@ -288,6 +290,46 @@ class TestProtocolUnits:
         )
         follower.close()
         primary.close()
+
+    def test_published_covers_survive_checkpoint_install(self, tmp_path):
+        """Every snapshot a follower publishes carries the canonical cover
+        of its own Σ — across the checkpoint install that swaps in a new
+        discoverer (and with it a freshly seeded cover)."""
+        primary = make_primary(tmp_path / "primary", checkpoint_every=100)
+        apply_batch(primary, ("insert", random_rows(random.Random(5), 2)))
+        follower = FollowerSession.bootstrap(
+            tmp_path / "follower", DirectorySource(tmp_path / "primary")
+        )
+        service = FollowerService(follower, ServiceConfig(port=0))
+        published = [service.snapshot]
+        publish = service._publish
+        service._publish = lambda snapshot: (
+            published.append(snapshot), publish(snapshot)
+        )
+        try:
+            apply_batch(primary, ("insert", random_rows(random.Random(6), 3)))
+            assert service.replicate_once() == 2
+            apply_batch(primary, ("delete", [0, 2]))
+            primary.checkpoint()  # the follower must catch up from it
+            # No frame follows the checkpoint, yet the installed state is
+            # published.
+            assert service.replicate_once() == 0
+            assert follower.catchups_total == 1
+            assert service.snapshot.seq == primary.last_applied_seq
+            apply_batch(primary, ("insert", random_rows(random.Random(8), 2)))
+            assert service.replicate_once() == 1
+            assert len(published) == 4
+            for snapshot in published:
+                assert [dc.mask for dc in snapshot.canonical] == (
+                    canonicalize_masks(snapshot.dc_masks, snapshot.space)
+                )
+            assert published[-1].dc_masks == primary.discoverer.dc_masks
+            assert published[-1].dcs_payload() == build_snapshot(
+                follower.session
+            ).dcs_payload()
+        finally:
+            service.shutdown()
+            primary.close()
 
     @pytest.mark.parametrize("tamper", ["flip_byte", "wrong_seq", "truncate"])
     def test_http_source_rejects_tampered_frames(self, tmp_path, tamper):

@@ -15,6 +15,8 @@ Covers the four acceptance pillars:
 
 from __future__ import annotations
 
+import http.client
+import json
 import random
 import threading
 
@@ -23,6 +25,7 @@ import pytest
 from repro.core.discoverer import DCDiscoverer
 from repro.core.state_io import state_to_bytes
 from repro.dcs import DenialConstraint
+from repro.dcs.canonical import CanonicalCover, canonicalize_masks
 from repro.durability import DurableSession
 from repro.predicates import parse_dc
 from repro.relational import relation_from_rows
@@ -37,6 +40,7 @@ from repro.service import (
     WriteRequest,
     build_snapshot,
     coalesce,
+    protocol,
 )
 from repro.workloads import staff_relation
 from tests.conftest import random_rows
@@ -436,6 +440,93 @@ class TestConcurrency:
         assert len(service.commit_log) < 8
 
 
+class TestPublication:
+    @pytest.mark.parametrize("backend", ["dynei", "dynhs"])
+    def test_diff_snapshots_match_one_shot(self, tmp_path, backend):
+        """Snapshots built from Σ diffs through a cover equal snapshots
+        built from scratch, over each backend's unsorted Σ view."""
+        rng = random.Random(3)
+        discoverer = DCDiscoverer(
+            relation_from_rows(["A", "B", "C"], random_rows(rng, 8)),
+            enumeration_backend=backend,
+        )
+        session = DurableSession.create(discoverer, tmp_path / "session")
+        cover = CanonicalCover(session.discoverer.space)
+        snapshot = build_snapshot(session, None, cover)
+        for step in range(6):
+            if step % 3 == 2:
+                session.delete(sorted(session.discoverer.relation.rids())[:1])
+            else:
+                session.insert(random_rows(rng, 2))
+            snapshot = build_snapshot(session, snapshot, cover)
+            assert snapshot.dcs_payload() == build_snapshot(session).dcs_payload()
+            assert snapshot.status["dcs"] == len(snapshot.dc_masks)
+        session.close()
+
+    def test_every_published_cover_is_canonical(self, tmp_path):
+        """Across a burst of concurrent inserts and deletes, every
+        published snapshot's cover is the one-shot canonicalization of
+        its own Σ, and the last one serves the payload a from-scratch
+        snapshot would."""
+        rng = random.Random(23)
+        session = make_session(
+            tmp_path,
+            relation=relation_from_rows(["A", "B", "C"], random_rows(rng, 12)),
+        )
+        service = DCService(
+            session, ServiceConfig(port=0, batch_window_ms=5.0)
+        )
+        published = [service.snapshot]
+        publish = service._publish
+        service._publish = lambda snapshot: (
+            published.append(snapshot), publish(snapshot)
+        )
+        service.start()
+        client = ServiceClient(base_url=service.url, timeout=15.0)
+        errors = []
+
+        def worker(worker_id: int):
+            thread_rng = random.Random(500 + worker_id)
+            own_rids = []
+            try:
+                for _ in range(6):
+                    if own_rids and thread_rng.random() < 0.35:
+                        rid = own_rids.pop(thread_rng.randrange(len(own_rids)))
+                        client.delete([rid])
+                    else:
+                        outcome = client.insert(
+                            random_rows(thread_rng, thread_rng.randint(1, 2))
+                        )
+                        own_rids.extend(outcome["rids"])
+            except Exception as exc:  # surface in the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        service.shutdown()
+        assert errors == []
+        assert len(published) > 1
+        for snapshot in published:
+            assert snapshot.dc_masks == sorted(snapshot.dc_masks)
+            assert [dc.mask for dc in snapshot.canonical] == canonicalize_masks(
+                snapshot.dc_masks, snapshot.space
+            )
+        assert published[-1].dc_masks == service.session.discoverer.dc_masks
+        assert published[-1].dcs_payload() == build_snapshot(
+            service.session
+        ).dcs_payload()
+        histograms = service.instrumentation.metrics.histograms
+        assert histograms["service.publish_seconds"].count == len(published)
+        assert histograms["service.cycle_seconds"].count == len(published) - 1
+        counters = service.instrumentation.metrics.counters
+        assert counters["snapshot.sigma_delta"] > 0
+
+
 # -- admission control and backpressure -------------------------------------
 
 
@@ -524,3 +615,54 @@ class TestBackpressure:
             service.session.discoverer
         )
         recovered.close()
+
+
+# -- hostile request bodies --------------------------------------------------
+
+
+class TestHostileBodies:
+    """Raw HTTP: the declared body length is checked before any read."""
+
+    def _post(self, service, length: str, body: bytes = b""):
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=5.0
+        )
+        try:
+            connection.putrequest("POST", "/insert")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            return (
+                response.status,
+                response.getheader("Connection"),
+                json.loads(response.read()),
+            )
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1e3", "0x10"])
+    def test_malformed_or_negative_length_is_400(self, service, length):
+        status, connection, payload = self._post(service, length)
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert "Content-Length" in payload["message"]
+        assert connection == "close"
+
+    def test_oversized_body_is_413_unread(self, service):
+        # Only the headers are sent: a 413 that waited for the declared
+        # body would time out here instead.
+        status, connection, payload = self._post(
+            service, str(protocol.MAX_BODY_BYTES + 1)
+        )
+        assert status == 413
+        assert payload["error"] == protocol.ERR_TOO_LARGE
+        assert connection == "close"
+
+    def test_service_keeps_serving(self, service, client):
+        self._post(service, "-5")
+        self._post(service, str(protocol.MAX_BODY_BYTES * 4))
+        body = json.dumps({"rows": [[5, "Ema", 2002, 3, 1]]}).encode()
+        status, _, payload = self._post(service, str(len(body)), body)
+        assert status == 200 and payload["status"] == "committed"
+        assert client.status()["seq"] == payload["seq"]
