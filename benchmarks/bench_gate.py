@@ -11,10 +11,10 @@ compares what *is* deterministic:
 2. **State digests** — SHA-256 of the canonical serialized state after
    fixed maintenance workloads, computed per evidence backend.  The
    python and numpy kernels must agree with each other *and* with the
-   committed baseline; the pair-grid executor (workers=2, shards=4,
-   see docs/distributed.md) must reproduce the serial digest exactly,
-   and its deterministic ``executor.*`` dispatch counters are gated like
-   the evidence work counters.
+   committed baseline; the fork pool (workers=2, see
+   docs/performance.md) must reproduce the serial digest and the serial
+   ``evidence.*`` counters exactly, and its counters are gated like the
+   benchmark work counters.
 
 Usage::
 
@@ -143,17 +143,16 @@ def compute_digests() -> dict:
     return digests
 
 
-def distributed_gate_check(digests: dict) -> dict:
-    """Pair-grid determinism gate (docs/distributed.md).
+def pool_gate_check(digests: dict) -> dict:
+    """Fork-pool determinism gate (docs/performance.md#the-fork-pool).
 
-    Re-runs the first digest workload on the in-process grid executor
-    (``workers=2, executor="serial", shards=4``) and demands the exact
-    serial state digest — a grid kernel that drifts from its serial
-    counterpart fails the gate here even if every unit test was skipped.
-    The run's ``executor.*`` dispatch counters are deterministic for the
-    serial executor (task count is a pure function of the grid), so they
-    are written to ``results/distributed_gate.json`` and gated against
-    the committed baselines alongside the evidence work counters.
+    Re-runs the first digest workload serially and at ``workers=2`` on
+    the real fork pool.  The pooled run must reproduce the serial state
+    digest and the serial ``evidence.*`` counters exactly — a stripe that
+    drifts from the serial path fails the gate here even if every unit
+    test was skipped.  The pooled run's ``evidence.*`` and ``parallel.*``
+    counters are written to ``results/pool_gate.json`` and gated against
+    the committed baselines alongside the benchmark work counters.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.core.state_io import state_to_bytes
@@ -171,51 +170,63 @@ def distributed_gate_check(digests: dict) -> dict:
         name, static_rows, delete_strategy=delete_strategy
     )
 
-    discoverer = clone_discoverer(payload)
-    discoverer.workers = 2
-    discoverer.executor = "serial"
-    discoverer.shards = 4
-    half = len(delta_rows) // 2 or 1
-    reports = [discoverer.insert(delta_rows[:half]).report]
-    reports.append(
-        discoverer.delete(sorted(discoverer.relation.rids())[1::5]).report
-    )
-    reports.append(discoverer.insert(delta_rows[half:]).report)
-    digest = hashlib.sha256(state_to_bytes(discoverer)).hexdigest()
+    def run(workers: int):
+        discoverer = clone_discoverer(payload)
+        discoverer.workers = workers
+        half = len(delta_rows) // 2 or 1
+        reports = [discoverer.insert(delta_rows[:half]).report]
+        reports.append(
+            discoverer.delete(sorted(discoverer.relation.rids())[1::5]).report
+        )
+        reports.append(discoverer.insert(delta_rows[half:]).report)
+        counters: dict = {}
+        for report in reports:
+            for key, value in report.metrics["counters"].items():
+                if key.startswith(("parallel.", "evidence.")):
+                    counters[key] = counters.get(key, 0) + value
+        digest = hashlib.sha256(state_to_bytes(discoverer)).hexdigest()
+        return digest, counters
+
+    _, serial_counters = run(1)
+    digest, counters = run(2)
 
     label = f"{name}/{delete_strategy}"
     expected = digests[label]
     if digest != expected:
         raise SystemExit(
-            f"gate: FAIL — pair-grid state digest diverged from serial on "
-            f"{label} (workers=2, shards=4): {expected[:16]}… -> "
-            f"{digest[:16]}…"
+            f"gate: FAIL — fork-pool state digest diverged from serial on "
+            f"{label} (workers=2): {expected[:16]}… -> {digest[:16]}…"
+        )
+    def evidence_only(found: dict) -> dict:
+        return {
+            key: value
+            for key, value in found.items()
+            if key.startswith("evidence.")
+        }
+
+    if evidence_only(counters) != evidence_only(serial_counters):
+        raise SystemExit(
+            f"gate: FAIL — fork-pool evidence counters differ from serial on "
+            f"{label} (workers=2): {evidence_only(serial_counters)} -> "
+            f"{evidence_only(counters)}"
         )
 
-    counters: dict = {}
-    for report in reports:
-        for key, value in report.metrics["counters"].items():
-            counters[key] = counters.get(key, 0) + value
-    gated = {
-        key: counters[key]
-        for key in sorted(counters)
-        if key.startswith(("executor.", "parallel.", "evidence."))
-    }
-    grid_label = f"{label} workers=2 shards=4 serial-executor"
+    gated = {key: counters[key] for key in sorted(counters)}
+    pool_label = f"{label} workers=2 fork-pool"
     record = {
-        "workload": grid_label,
+        "workload": pool_label,
         "scale": GATE_SCALE,
         "digest": digest,
-        "counters": {grid_label: gated},
+        "counters": {pool_label: gated},
     }
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "distributed_gate.json").write_text(
+    (RESULTS_DIR / "pool_gate.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n"
     )
     print(
-        f"gate: pair-grid digest OK — {label} on the 4-shard grid matches "
-        f"serial ({digest[:16]}…), {len(gated)} executor/evidence counters "
-        "snapshotted"
+        f"gate: fork-pool digest OK — {label} at workers=2 matches serial "
+        f"({digest[:16]}…) with identical evidence counters, "
+        f"{len(gated)} pool/evidence counters snapshotted"
     )
     return record["counters"]
 
@@ -369,7 +380,7 @@ def main(argv=None) -> int:
         run_benchmarks()
     counters = collect_counters()
     digests = compute_digests()
-    counters["distributed_gate.json"] = distributed_gate_check(digests)
+    counters["pool_gate.json"] = pool_gate_check(digests)
     trace_overhead_check()
 
     if args.update:

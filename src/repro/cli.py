@@ -31,12 +31,10 @@ Subcommands mirror the 3DC life cycle:
   serves the aggregated topology for ``FleetClient`` discovery
   (docs/fleet.md).
 
-``discover``/``insert``/``delete`` accept ``--workers N`` to shard
-evidence construction over a worker pool, ``--backend
-{auto,python,numpy}`` to pick the evidence-kernel backend, and
-``--executor {auto,serial,fork,spawn,socket}`` / ``--shards S`` to pick
-the shard executor and pair-grid size (results are identical for any
-combination; see docs/distributed.md and docs/performance.md).
+``discover``/``insert``/``delete`` accept ``--workers N`` to stripe
+evidence construction over a fork pool and ``--backend
+{auto,python,numpy}`` to pick the evidence-kernel backend (results are
+identical for any combination; see docs/performance.md).
 
 Observability flags (see docs/observability.md): ``--trace`` prints the
 nested span tree and per-call metrics of the operation, ``--metrics-out``
@@ -105,8 +103,6 @@ def _cmd_discover(args) -> int:
         allow_cross_columns=not args.no_cross_columns,
         workers=args.workers,
         backend=args.backend,
-        executor=args.executor,
-        shards=args.shards,
     )
     result = discoverer.fit()
     print(result)
@@ -125,10 +121,6 @@ def _apply_execution_flags(discoverer, args) -> None:
         discoverer.workers = args.workers
     if args.backend is not None:
         discoverer.backend = args.backend
-    if getattr(args, "executor", None) is not None:
-        discoverer.executor = args.executor
-    if getattr(args, "shards", None) is not None:
-        discoverer.shards = args.shards
 
 
 def _cmd_insert(args) -> int:
@@ -334,8 +326,6 @@ def _cmd_session_init(args) -> int:
         allow_cross_columns=not args.no_cross_columns,
         workers=args.workers,
         backend=args.backend,
-        executor=args.executor,
-        shards=args.shards,
     )
     result = discoverer.fit()
     print(result)
@@ -491,8 +481,6 @@ def _cmd_serve(args) -> int:
                 cross_column_ratio=args.cross_ratio,
                 workers=args.workers or 1,
                 backend=args.backend or "auto",
-                executor=args.executor or "auto",
-                shards=args.shards,
             )
         result = discoverer.fit()
         print(result)
@@ -660,27 +648,6 @@ def _add_backend_flag(parser, default) -> None:
     )
 
 
-def _add_executor_flags(parser, default) -> None:
-    from repro.evidence.executors import EXECUTOR_CHOICES
-
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTOR_CHOICES,
-        default=default,
-        help="shard-executor backend for parallel evidence runs (auto = "
-        "fork where available, spawn otherwise; socket drives worker "
-        "processes over TCP; results are identical for any choice)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="S",
-        help="pair-grid shard count override (default: derived from "
-        "--workers; results are identical for any value)",
-    )
-
-
 def _add_observability_flags(parser) -> None:
     parser.add_argument(
         "--trace",
@@ -716,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--null-policy", choices=["reject", "drop", "fill"], default="reject")
     _add_workers_flag(p, default=1)
     _add_backend_flag(p, default="auto")
-    _add_executor_flags(p, default="auto")
     _add_observability_flags(p)
     p.set_defaults(func=_cmd_discover)
 
@@ -725,10 +691,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--top", type=int, default=20)
     p.add_argument("--null-policy", choices=["reject", "drop", "fill"], default="reject")
-    # None = keep the loaded discoverer's worker count / backend / executor.
+    # None = keep the loaded discoverer's worker count / backend.
     _add_workers_flag(p, default=None)
     _add_backend_flag(p, default=None)
-    _add_executor_flags(p, default=None)
     _add_observability_flags(p)
     p.set_defaults(func=_cmd_insert)
 
@@ -738,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=20)
     _add_workers_flag(p, default=None)
     _add_backend_flag(p, default=None)
-    _add_executor_flags(p, default=None)
     _add_observability_flags(p)
     p.set_defaults(func=_cmd_delete)
 
@@ -834,7 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--null-policy", choices=["reject", "drop", "fill"], default="reject")
     _add_workers_flag(sp, default=1)
     _add_backend_flag(sp, default="auto")
-    _add_executor_flags(sp, default="auto")
     _add_observability_flags(sp)
     sp.set_defaults(func=_cmd_session_init)
 
@@ -982,7 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workers_flag(p, default=None)
     _add_backend_flag(p, default=None)
-    _add_executor_flags(p, default=None)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -67,20 +67,12 @@ class DCDiscoverer:
         incremental tuples themselves (the Figure 9 "Opt" strategy).
     :param enumeration_backend: ``"dynei"`` (3DC) or ``"dynhs"`` ([19]).
     :param workers: worker-pool size for evidence construction: 1 (the
-        default) runs fully serial, ``n > 1`` shards the static scan,
-        insert deltas, and delete batches over ``n`` forked processes,
-        and 0 means one worker per CPU.  Results are byte-for-byte
-        identical for any worker count (the shard merge is deterministic);
-        platforms without the ``fork`` start method fall back to serial.
-    :param executor: shard-executor backend for parallel evidence runs —
-        ``"auto"`` (the default: fork where available, spawn otherwise),
-        ``"serial"``, ``"fork"``, ``"spawn"``, or ``"socket"`` (worker
-        processes over crc32-framed loopback TCP).  Results are
-        byte-for-byte identical for any executor; an execution knob like
-        ``workers`` — not persisted with the state.
-    :param shards: pair-grid shard count override for parallel evidence
-        runs (``None`` = derived from ``workers``); results are identical
-        for any shard count.
+        default) runs fully serial, ``n > 1`` stripes the static scan,
+        insert deltas, and delete batches over the parent and ``n - 1``
+        forked processes, and 0 means one worker per CPU.  Results are
+        byte-for-byte identical for any worker count (the stripe merge is
+        deterministic); platforms without the ``fork`` start method fall
+        back to serial.
     :param backend: evidence-kernel backend — ``"auto"`` (the default;
         NumPy-vectorized when available, pure Python otherwise),
         ``"python"``, or ``"numpy"``.  Results are byte-for-byte
@@ -121,8 +113,6 @@ class DCDiscoverer:
         enumeration_backend: str = "dynei",
         workers: int = 1,
         backend: str = "auto",
-        executor: str = "auto",
-        shards: Optional[int] = None,
         instrumentation: Optional[Instrumentation] = None,
         mode: str = "discover",
         constraints: Optional[Sequence] = None,
@@ -158,12 +148,8 @@ class DCDiscoverer:
         self.enumeration_backend = "fixed" if mode == "verify" else enumeration_backend
         self.constraints = list(constraints) if constraints is not None else None
         self.verify_pruning = verify_pruning
-        from repro.evidence.executors import validate_executor
-
         self.workers = workers
         self.backend = validate_backend(backend)
-        self.executor = validate_executor(executor)
-        self.shards = shards
         self.instrumentation = instrumentation or Instrumentation()
         self.space: Optional[PredicateSpace] = None
         self._state = None
@@ -205,8 +191,6 @@ class DCDiscoverer:
                         maintain_tuple_index=self.maintain_tuple_index,
                         workers=self.workers,
                         backend=self.backend,
-                        executor=self.executor,
-                        shards=self.shards,
                     )
                 with tracer.span("enumeration"):
                     self._backend = make_backend(
@@ -362,8 +346,6 @@ class DCDiscoverer:
                                 infer_within_delta=self.infer_within_delta,
                                 workers=self.workers,
                                 backend=self.backend,
-                                executor=self.executor,
-                                shards=self.shards,
                             )
                         with tracer.span("apply"):
                             new_masks = apply_insert_evidence(
@@ -424,16 +406,12 @@ class DCDiscoverer:
                                     self.relation, self._state, rid_list,
                                     workers=self.workers,
                                     backend=self.backend,
-                                    executor=self.executor,
-                                    shards=self.shards,
                                 )
                             else:
                                 evidence_delta = delete_evidence_by_recompute(
                                     self.relation, self._state, rid_list,
                                     workers=self.workers,
                                     backend=self.backend,
-                                    executor=self.executor,
-                                    shards=self.shards,
                                 )
                         with tracer.span("apply"):
                             removed_masks = apply_delete_evidence(

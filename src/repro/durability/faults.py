@@ -44,8 +44,8 @@ FAULT_POINTS = frozenset(
         "state_save.pre_fsync",
         "state_save.pre_rename",
         "state_save.post_rename",
-        # Shard-executor worker, right before it runs a claimed evidence
-        # block (fires in the worker process, never the parent).
+        # Evidence pool worker, right before it runs its stripe (fires
+        # in the forked child, never the parent).
         "executor.shard",
     }
 )

@@ -71,25 +71,18 @@ def build_evidence_state(
     checkpoint_step: int = 32,
     workers: int = 1,
     backend: Optional[str] = None,
-    executor: Optional[str] = "auto",
-    shards: Optional[int] = None,
 ) -> EvidenceEngineState:
     """Build the full evidence set of ``relation`` from scratch.
 
     :param maintain_tuple_index: also populate the per-tuple evidence index
         used by the fast delete strategy (Section V-C); the paper reports
         only a slight build-time overhead for it.
-    :param workers: shard the scan over a worker pool when > 1 (0 = one
+    :param workers: stripe the scan over a fork pool when > 1 (0 = one
         worker per CPU); the merged evidence set is identical to the
         serial result for any worker count.
     :param backend: evidence-kernel backend (``"auto"``/``"python"``/
         ``"numpy"``, ``None`` = auto); results are identical for any
         backend.
-    :param executor: shard-executor backend (``"auto"``/``"serial"``/
-        ``"fork"``/``"spawn"``/``"socket"``); results are identical for
-        any executor.
-    :param shards: pair-grid shard count override (``None`` = derived
-        from ``workers``); results are identical for any shard count.
     """
     from repro.evidence import parallel
     from repro.evidence.kernels import make_kernel
@@ -102,29 +95,28 @@ def build_evidence_state(
 
     n_workers = parallel.resolve_workers(workers)
     with probe_span("scan"):
-        if parallel.should_parallelize(n_workers, len(relation), executor):
-            evidence_set = parallel.parallel_static_evidence(
-                relation, space, indexes, tuple_index, n_workers, backend,
-                executor=executor, shards=shards,
+        # Tuple t reconciles against the partners after it; the last
+        # alive rid has none left and gets no task (and no index
+        # entry), exactly like the historical serial scan.
+        tasks = []
+        remaining = relation.alive_bits
+        for rid in relation.rids():
+            remaining &= ~(1 << rid)
+            if not remaining:
+                break
+            tasks.append(
+                ReconcileTask(
+                    rid,
+                    remaining,
+                    remaining if maintain_tuple_index else None,
+                )
+            )
+        kernel = make_kernel(backend, relation, space, indexes)
+        if parallel.should_parallelize(n_workers, len(tasks)):
+            evidence_set = parallel.reconcile_striped(
+                kernel, tasks, n_workers, tuple_index
             )
         else:
-            # Tuple t reconciles against the partners after it; the last
-            # alive rid has none left and gets no task (and no index
-            # entry), exactly like the historical serial scan.
-            tasks = []
-            remaining = relation.alive_bits
-            for rid in relation.rids():
-                remaining &= ~(1 << rid)
-                if not remaining:
-                    break
-                tasks.append(
-                    ReconcileTask(
-                        rid,
-                        remaining,
-                        remaining if maintain_tuple_index else None,
-                    )
-                )
-            kernel = make_kernel(backend, relation, space, indexes)
             recorder = (
                 TupleIndexRecorder(tuple_index)
                 if maintain_tuple_index

@@ -17,7 +17,7 @@ dying tuples still need to be probed as partners.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.bitmaps.bitutils import iter_bits
 from repro.evidence.builder import EvidenceEngineState
@@ -32,15 +32,13 @@ def delete_evidence_by_recompute(
     delete_rids: Iterable[int],
     workers: int = 1,
     backend: Optional[str] = None,
-    executor: Optional[str] = "auto",
-    shards: Optional[int] = None,
 ) -> EvidenceSet:
     """Recompute the evidence produced by the delete batch from scratch.
 
     Precondition: the batch rows are still alive in ``relation`` and still
     present in ``state.indexes``.
 
-    :param workers: shard the batch over a process pool when > 1 (0 = one
+    :param workers: stripe the batch over a fork pool when > 1 (0 = one
         worker per CPU); results are identical for any worker count.
     :param backend: evidence-kernel backend (``None`` = auto); results
         are identical for any backend.
@@ -50,12 +48,6 @@ def delete_evidence_by_recompute(
     from repro.evidence.kernels.base import ReconcileTask
 
     delete_list = sorted(delete_rids)
-    n_workers = parallel.resolve_workers(workers)
-    if parallel.should_parallelize(n_workers, len(delete_list), executor):
-        return parallel.parallel_delete_evidence(
-            relation, state, delete_list, "recompute", n_workers, backend,
-            executor=executor, shards=shards,
-        )
     evidence_delta = EvidenceSet()
     remaining = relation.alive_bits
     tasks = []
@@ -63,8 +55,66 @@ def delete_evidence_by_recompute(
         remaining &= ~(1 << rid)
         tasks.append(ReconcileTask(rid, remaining))
     kernel = make_kernel(backend, relation, state.space, state.indexes)
+    n_workers = parallel.resolve_workers(workers)
+    if parallel.should_parallelize(n_workers, len(tasks)):
+        return parallel.reconcile_striped(kernel, tasks, n_workers)
     kernel.reconcile(tasks, evidence_delta)
     return evidence_delta
+
+
+def _processed_prefixes(delete_list: List[int]) -> Iterator[Tuple[int, int]]:
+    """``(rid, processed_bits)`` for each rid of the sorted batch, where
+    ``processed_bits`` holds the batch rids before it."""
+    processed_bits = 0
+    for rid in delete_list:
+        yield rid, processed_bits
+        processed_bits |= 1 << rid
+
+
+def _index_delete_items(
+    relation: Relation, state: EvidenceEngineState, items, sink
+) -> Tuple[list, int, int]:
+    """The index strategy's per-rid body over ``(rid, processed_bits)``
+    items: owned pairs and stale corrections go straight into ``sink``;
+    the non-owned pairs come back as reconcile tasks.
+
+    Each item depends only on its own ``processed_bits``, so any subset
+    of the batch (a pool stripe) runs through here unchanged.  Returns
+    ``(tasks, owned_pairs, stale_corrections)``.
+    """
+    from repro.evidence.kernels.base import ReconcileTask
+
+    tuple_index = state.tuple_index
+    space = state.space
+    symmetrize = space.symmetrize
+    alive_bits = relation.alive_bits  # batch rows are still alive here
+    owned_pairs = 0
+    stale_corrections = 0
+    tasks = []
+    for rid, processed_bits in items:
+        rid_bit = 1 << rid
+        partners = tuple_index.partners(rid)
+        # (1) Owned pairs, corrected for partners that are already gone
+        # (died in an earlier batch, or processed earlier in this one).
+        for evidence, count in tuple_index.owned_evidence(rid).items():
+            sink.add(evidence, count)
+            sink.add(symmetrize(evidence), count)
+            owned_pairs += count
+        stale = partners & (~alive_bits | processed_bits)
+        if stale:
+            stale_corrections += stale.bit_count()
+            row = relation.row(rid)
+            evidence_of_pair = space.evidence_of_pair
+            for partner in iter_bits(stale):
+                evidence = evidence_of_pair(row, relation.row(partner))
+                sink.subtract(evidence, 1)
+                sink.subtract(symmetrize(evidence), 1)
+        # (2) Non-owned pairs with surviving, unprocessed tuples — run as
+        # one kernel batch after the loop.
+        others = alive_bits & ~processed_bits & ~partners & ~rid_bit
+        if others:
+            tasks.append(ReconcileTask(rid, others))
+    return tasks, owned_pairs, stale_corrections
 
 
 def delete_evidence_with_index(
@@ -73,8 +123,6 @@ def delete_evidence_with_index(
     delete_rids: Iterable[int],
     workers: int = 1,
     backend: Optional[str] = None,
-    executor: Optional[str] = "auto",
-    shards: Optional[int] = None,
 ) -> EvidenceSet:
     """Compute the delete batch's evidence using the per-tuple index.
 
@@ -92,7 +140,7 @@ def delete_evidence_with_index(
     batch member are counted at the owner's step (1); pairs between ``t``
     and a surviving non-partner at ``t``'s step (2).
 
-    :param workers: shard the batch over a process pool when > 1 (0 = one
+    :param workers: stripe the batch over a fork pool when > 1 (0 = one
         worker per CPU); results are identical for any worker count.
     :param backend: evidence-kernel backend (``None`` = auto); results
         are identical for any backend.
@@ -100,7 +148,7 @@ def delete_evidence_with_index(
     """
     from repro.evidence import parallel
     from repro.evidence.kernels import make_kernel
-    from repro.evidence.kernels.base import ReconcileTask
+    from repro.evidence.kernels.base import CounterSink
 
     tuple_index = state.tuple_index
     if tuple_index is None:
@@ -110,53 +158,43 @@ def delete_evidence_with_index(
         )
     delete_list = sorted(delete_rids)
     n_workers = parallel.resolve_workers(workers)
-    if parallel.should_parallelize(n_workers, len(delete_list), executor):
-        return parallel.parallel_delete_evidence(
-            relation, state, delete_list, "index", n_workers, backend,
-            executor=executor, shards=shards,
+    if parallel.should_parallelize(n_workers, len(delete_list)):
+        kernel = make_kernel(backend, relation, state.space, state.indexes)
+
+        def run_stripe(items: list) -> parallel.ShardResult:
+            result = parallel.ShardResult()
+            sink = CounterSink(result.counts)
+            tasks, owned, stale = _index_delete_items(
+                relation, state, items, sink
+            )
+            result.stats = kernel.reconcile(tasks, sink)
+            result.counters = {
+                "evidence.index_owned_pairs": owned,
+                "evidence.stale_pair_corrections": stale,
+            }
+            return result
+
+        evidence_delta = parallel.run_striped(
+            kernel,
+            list(_processed_prefixes(delete_list)),
+            run_stripe,
+            n_workers,
         )
+        for rid in delete_list:
+            tuple_index.drop_tuple(rid)
+        return evidence_delta
+
     evidence_delta = EvidenceSet()
-    space = state.space
-    symmetrize = space.symmetrize
-    alive_bits = relation.alive_bits  # batch rows are still alive here
-    processed_bits = 0
-    probe = get_probe()
-    owned_pairs = 0
-    stale_corrections = 0
-    tasks = []
-
-    for rid in delete_list:
-        rid_bit = 1 << rid
-        partners = tuple_index.partners(rid)
-        # (1) Owned pairs, corrected for partners that are already gone
-        # (died in an earlier batch, or processed earlier in this one).
-        for evidence, count in tuple_index.owned_evidence(rid).items():
-            evidence_delta.add(evidence, count)
-            evidence_delta.add(symmetrize(evidence), count)
-            owned_pairs += count
-        stale = partners & (~alive_bits | processed_bits)
-        if stale:
-            stale_corrections += stale.bit_count()
-            row = relation.row(rid)
-            evidence_of_pair = space.evidence_of_pair
-            for partner in iter_bits(stale):
-                evidence = evidence_of_pair(row, relation.row(partner))
-                evidence_delta.subtract(evidence, 1)
-                evidence_delta.subtract(symmetrize(evidence), 1)
-        # (2) Non-owned pairs with surviving, unprocessed tuples —
-        # `processed` is a pure prefix function of the sorted batch, so
-        # the pipelines can run as one kernel batch after this loop.
-        others = alive_bits & ~processed_bits & ~partners & ~rid_bit
-        if others:
-            tasks.append(ReconcileTask(rid, others))
-        processed_bits |= rid_bit
-
+    tasks, owned_pairs, stale_corrections = _index_delete_items(
+        relation, state, _processed_prefixes(delete_list), evidence_delta
+    )
     if tasks:
-        kernel = make_kernel(backend, relation, space, state.indexes)
+        kernel = make_kernel(backend, relation, state.space, state.indexes)
         kernel.reconcile(tasks, evidence_delta)
     for rid in delete_list:
         tuple_index.drop_tuple(rid)
 
+    probe = get_probe()
     if probe is not None:
         # Owned pairs come straight from the tuple index — each is one
         # reconciliation the Figure 10 "index" strategy avoided.

@@ -32,8 +32,6 @@ def incremental_evidence_for_insert(
     infer_within_delta: bool = True,
     workers: int = 1,
     backend: Optional[str] = None,
-    executor: Optional[str] = "auto",
-    shards: Optional[int] = None,
 ) -> EvidenceSet:
     """Compute ``E_Δr`` for an insert batch.
 
@@ -44,15 +42,11 @@ def incremental_evidence_for_insert(
 
     :param infer_within_delta: choose the Opt (True) or Base (False)
         strategy described above.
-    :param workers: shard ``Δr`` over a process pool when > 1 (0 = one
+    :param workers: stripe ``Δr`` over a fork pool when > 1 (0 = one
         worker per CPU); the merged delta is identical to the serial
         result for any worker count.
     :param backend: evidence-kernel backend (``None`` = auto); results
         are identical for any backend.
-    :param executor: shard-executor backend (``None``/``"auto"`` = fork
-        where available); results are identical for any executor.
-    :param shards: pair-grid shard count override (``None`` = derived
-        from ``workers``); results are identical for any shard count.
     """
     from repro.evidence import parallel
     from repro.evidence.kernels import make_kernel
@@ -65,13 +59,6 @@ def incremental_evidence_for_insert(
     probe = get_probe()
     if probe is not None:
         probe.inc("evidence.delta_tuples", len(delta_list))
-
-    n_workers = parallel.resolve_workers(workers)
-    if parallel.should_parallelize(n_workers, len(delta_list), executor):
-        return parallel.parallel_insert_evidence(
-            relation, state, delta_list, infer_within_delta, n_workers,
-            backend, executor=executor, shards=shards,
-        )
 
     record = state.tuple_index is not None
     tasks = []
@@ -104,6 +91,11 @@ def incremental_evidence_for_insert(
                 )
             )
     kernel = make_kernel(backend, relation, state.space, state.indexes)
+    n_workers = parallel.resolve_workers(workers)
+    if parallel.should_parallelize(n_workers, len(tasks)):
+        return parallel.reconcile_striped(
+            kernel, tasks, n_workers, state.tuple_index, symmetric_bits
+        )
     recorder = TupleIndexRecorder(state.tuple_index) if record else None
     kernel.reconcile(
         tasks, evidence_delta, recorder, symmetric_bits=symmetric_bits

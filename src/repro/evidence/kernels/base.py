@@ -10,7 +10,7 @@ that invariant is what the differential suite and the CI bench gate check.
 
 The sink is anything with ``add(mask, count)`` — an
 :class:`~repro.evidence.evidence_set.EvidenceSet` in the serial drivers, a
-plain signed-counter wrapper in the parallel shard workers.  The recorder
+plain signed-counter wrapper in the pooled stripes.  The recorder
 receives ``(rid, owned_counter, partner_bits)`` triples in task order,
 mirroring what :meth:`~repro.evidence.tuple_index.TupleEvidenceIndex.\
 record_contexts` stores.
@@ -60,10 +60,18 @@ class KernelStats:
     contexts_out: int = 0  # evidence-context partitions produced
     pairs_inferred: int = 0  # symmetric evidences obtained by inference
 
+    def add(self, other: "KernelStats") -> None:
+        """Accumulate another batch's counters (all four are additive
+        per task, so a split batch sums to the unsplit one)."""
+        self.pipelines += other.pipelines
+        self.pairs += other.pairs
+        self.contexts_out += other.contexts_out
+        self.pairs_inferred += other.pairs_inferred
+
 
 class CounterSink:
-    """Evidence sink folding into a plain signed counter dict (the shard
-    workers' accumulation format)."""
+    """Evidence sink folding into a plain signed counter dict (the pooled
+    stripes' accumulation format)."""
 
     __slots__ = ("counts",)
 
@@ -72,6 +80,9 @@ class CounterSink:
 
     def add(self, mask: int, count: int) -> None:
         self.counts[mask] = self.counts.get(mask, 0) + count
+
+    def subtract(self, mask: int, count: int) -> None:
+        self.counts[mask] = self.counts.get(mask, 0) - count
 
 
 class TupleIndexRecorder:
@@ -101,7 +112,7 @@ class TupleIndexRecorder:
 
 class ListRecorder:
     """Ownership recorder buffering ``(rid, counter, partner_bits)`` triples
-    (the shard workers' :attr:`ShardResult.tuple_records` format)."""
+    (the pooled stripes' :attr:`ShardResult.records` format)."""
 
     __slots__ = ("records",)
 
@@ -158,19 +169,35 @@ class EvidenceKernel(ABC):
         probe = get_probe()
         if probe is None:
             return
-        probe.inc("kernel.batches")
-        probe.inc(f"kernel.batches.{self.name}")
-        if not self._probe_evidence_counters:
-            return
-        if stats.pipelines:
-            probe.inc("evidence.context_pipelines", stats.pipelines)
-            probe.inc("evidence.pairs_compared", stats.pairs)
-            probe.inc("evidence.contexts_out", stats.contexts_out)
-            probe.inc(
-                "evidence.index_probes", stats.pipelines * len(self.space.groups)
-            )
-        if stats.pairs_inferred:
-            probe.inc("evidence.pairs_inferred", stats.pairs_inferred)
+        emit_kernel_stats(
+            probe,
+            self.name,
+            stats,
+            len(self.space.groups),
+            evidence_counters=self._probe_evidence_counters,
+        )
+
+
+def emit_kernel_stats(
+    probe,
+    backend: str,
+    stats: KernelStats,
+    n_groups: int,
+    evidence_counters: bool = True,
+) -> None:
+    """Emit one batch's ``kernel.*`` and (optionally) ``evidence.*``
+    counters; each pipeline probes the indexes once per predicate group."""
+    probe.inc("kernel.batches")
+    probe.inc(f"kernel.batches.{backend}")
+    if not evidence_counters:
+        return
+    if stats.pipelines:
+        probe.inc("evidence.context_pipelines", stats.pipelines)
+        probe.inc("evidence.pairs_compared", stats.pairs)
+        probe.inc("evidence.contexts_out", stats.contexts_out)
+        probe.inc("evidence.index_probes", stats.pipelines * n_groups)
+    if stats.pairs_inferred:
+        probe.inc("evidence.pairs_inferred", stats.pairs_inferred)
 
 
 def ownership_counter(contexts: dict, record_bits: int) -> dict:
@@ -202,6 +229,7 @@ __all__: List[str] = [
     "ListRecorder",
     "ReconcileTask",
     "TupleIndexRecorder",
+    "emit_kernel_stats",
     "ownership_counter",
     "record_task",
 ]

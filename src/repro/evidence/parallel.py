@@ -1,52 +1,60 @@
-"""Distributed execution layer for evidence construction.
+"""Fork pool for evidence construction.
 
-Evidence-set maintenance dominates 3DC runtime (the paper's Figure 13
-breakdown).  This module decomposes each maintenance operation — static
-build, insert batch, delete batch — into the shard×shard pair grid of
-:mod:`repro.evidence.executors.grid` and runs the resulting blocks on a
-pluggable :class:`~repro.evidence.executors.ShardExecutor`:
+Every maintenance operation — static build, insert batch, delete batch —
+describes its work as the ordered item list the serial path runs: the
+``ReconcileTask`` list of the static, insert and recompute-delete
+drivers, or the ``(rid, processed_bits)`` list of the index-delete
+strategy.  With ``workers > 1`` that list is *striped*: item ``i`` goes
+to stripe ``i % W``.  The parent runs stripe 0 and forked children run
+the others, sharing the engine snapshot (relation, indexes, kernel)
+copy-on-write, so nothing heavyweight is pickled; each stripe ships back
+only a signed evidence counter, its tuple-index records, its work
+counters and its measured timing.
 
-- ``fork`` (the default where available) shares the engine snapshot with
-  forked workers copy-on-write — nothing heavyweight is pickled;
-- ``spawn`` pickles the snapshot to fresh-interpreter workers for
-  platforms without ``fork``;
-- ``socket`` drives separate worker processes over crc32-framed loopback
-  TCP — the stepping stone to multi-host;
-- ``serial`` runs the grid in-process (no pools), which is also the
-  degradation target when workers die.
+The result is byte-identical to the serial path for any worker count:
 
-Each block returns a plain evidence counter (symmetric inferences folded
-in, *signed* counts for the delete-index strategy's stale-pair
-corrections); the parent merges blocks with a sorted-key merge so the
-resulting :class:`~repro.evidence.evidence_set.EvidenceSet` is
-byte-identical to a serial build for any executor backend, worker count,
-shard count, and task completion order.  ``workers=1`` and platforms
-where the requested executor cannot run fall back to the serial
-implementations (reported through the ``parallel.fallback`` counter).
+- a stripe runs the serial path's own code on a subset of its items, and
+  every item's contribution is independent of the others;
+- the parent merges the signed counters in ascending-mask order and
+  applies the tuple-index records in rid order;
+- a child that dies before reporting (crash, kill, the ``executor.shard``
+  fault point) has its stripe re-run in the parent.
+
+``workers=1`` never enters this module's pool.  A platform without the
+``fork`` start method runs serially, with a warning and the
+``parallel.fallback`` counter.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from typing import List, Optional
+import time
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional
 
+from repro.durability.faults import SimulatedCrash, fault_point
 from repro.evidence.evidence_set import EvidenceSet
-
-# Re-exported so existing imports (tests, evidence/__init__) keep working
-# after the executor refactor.
-from repro.evidence.executors.base import (  # noqa: F401
-    ShardResult,
-    fork_available,
+from repro.evidence.kernels.base import (
+    CounterSink,
+    KernelStats,
+    ListRecorder,
+    TupleIndexRecorder,
+    emit_kernel_stats,
 )
-from repro.evidence.executors import (
-    make_executor,
-    resolve_executor,
-)
-from repro.evidence.executors.grid import grid_shard_count, plan_blocks
 from repro.observability import flight, get_logger
-from repro.observability.probe import get_probe
+from repro.observability.probe import get_probe, install
 
 logger = get_logger(__name__)
+
+#: Fault point armed by the worker-death tests: fires in a forked child
+#: right before it runs its stripe (the parent never calls it).
+WORKER_FAULT_POINT = "executor.shard"
+
+
+def fork_available() -> bool:
+    """Whether this platform can fork pool workers."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -59,25 +67,20 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def should_parallelize(
-    workers: int, n_items: int, executor: Optional[str] = "auto"
-) -> bool:
-    """Run on an executor only when it can actually split work: more than
-    one worker requested, at least two shardable items, and the requested
-    executor available on this platform.
+def should_parallelize(workers: int, n_items: int) -> bool:
+    """Run on the pool only when it can actually split work: more than
+    one worker requested, at least two items, and ``fork`` available.
 
-    An unavailable executor (today: explicit ``fork`` on a fork-less
-    platform; ``auto`` resolves to ``spawn`` there instead) is a *loud*
-    serial fallback: one warning plus the ``parallel.fallback`` counter,
-    so a deployment that silently lost its parallelism shows up in
-    metrics rather than in a latency graph.
+    A fork-less platform is a *loud* serial fallback: one warning plus
+    the ``parallel.fallback`` counter, so a deployment that silently lost
+    its parallelism shows up in metrics rather than in a latency graph.
     """
     if workers <= 1 or n_items < 2:
         return False
-    if resolve_executor(executor) is None:
+    if not fork_available():
         logger.warning(
-            "workers=%d requested but executor %r is unavailable on this "
-            "platform; running serially", workers, executor,
+            "workers=%d requested but fork is unavailable on this "
+            "platform; running serially", workers,
         )
         probe = get_probe()
         if probe is not None:
@@ -86,23 +89,109 @@ def should_parallelize(
     return True
 
 
-def stripe(items: list, n_shards: int) -> List[list]:
-    """Deterministic striped partition: item ``i`` goes to shard
-    ``i % n_shards``.  Striping keeps shard loads even when per-item cost
-    decreases along the list (the static build's triangular pair count)."""
-    n_shards = max(1, min(n_shards, len(items)))
-    return [items[shard::n_shards] for shard in range(n_shards)]
+def stripe(items: list, n_stripes: int) -> List[list]:
+    """Deterministic striped partition: item ``i`` goes to stripe
+    ``i % n_stripes``.  Striping keeps stripe loads even when per-item
+    cost decreases along the list (the static build's triangular pair
+    count)."""
+    n_stripes = max(1, min(n_stripes, len(items)))
+    return [items[index::n_stripes] for index in range(n_stripes)]
+
+
+@dataclass
+class ShardResult:
+    """One stripe's partial evidence plus its accounting.
+
+    ``counts`` is a signed evidence counter (the index-delete strategy
+    subtracts stale-pair corrections); only merged totals must be
+    non-negative.  ``records`` holds ``(rid, owned_counter,
+    partner_bits)`` tuple-index entries, ``counters`` the stripe body's
+    own ``evidence.*`` counters.  ``start`` (epoch seconds) and
+    ``duration`` are measured by the process that ran the stripe.
+    """
+
+    counts: dict = field(default_factory=dict)
+    records: list = field(default_factory=list)
+    stats: KernelStats = field(default_factory=KernelStats)
+    counters: dict = field(default_factory=dict)
+    start: float = 0.0
+    duration: float = 0.0
+
+
+def _run_timed(run_stripe: Callable, items: list) -> ShardResult:
+    """Run one stripe with the probe off (the parent re-emits its
+    counters once for all stripes) and stamp its measured timing."""
+    start = time.time()
+    started = time.perf_counter()
+    with install(None):
+        result = run_stripe(items)
+    result.start = start
+    result.duration = time.perf_counter() - started
+    return result
+
+
+def _child(run_stripe: Callable, items: list, sender) -> None:
+    """Forked worker: run one stripe and send its result to the parent.
+    A simulated crash exits without a result, as a killed worker would."""
+    try:
+        fault_point(WORKER_FAULT_POINT)
+        sender.send(_run_timed(run_stripe, items))
+    except SimulatedCrash:
+        os._exit(17)
+
+
+def run_stripes(stripes: List[list], run_stripe: Callable) -> List[ShardResult]:
+    """Run ``run_stripe`` on every stripe, the first in this process and
+    the rest in forked children; results come back in stripe order."""
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for index in range(1, len(stripes)):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_child,
+                args=(run_stripe, stripes[index], sender),
+                daemon=True,
+            )
+            child.start()
+            sender.close()
+            children.append((index, child, receiver))
+        results = [_run_timed(run_stripe, stripes[0])]
+        for index, child, receiver in children:
+            try:
+                result = receiver.recv()
+            except (EOFError, OSError):
+                result = None
+            child.join()
+            if result is None:
+                logger.warning(
+                    "evidence worker for stripe %d of %d died (exit code "
+                    "%s); re-running its stripe in-process",
+                    index, len(stripes), child.exitcode,
+                )
+                probe = get_probe()
+                if probe is not None:
+                    probe.inc("parallel.stripe_reruns")
+                result = _run_timed(run_stripe, stripes[index])
+            results.append(result)
+    finally:
+        for _, child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+                child.join()
+    return results
 
 
 def merge_shard_counts(results: List[ShardResult]) -> EvidenceSet:
-    """Sorted-key merge of the blocks' signed counters.
+    """Sorted-key merge of the stripes' signed counters.
 
     Totals are accumulated per mask and inserted in ascending-mask order,
     so the merged set's contents *and* iteration order are independent of
-    executor backend, worker count, sharding, and completion order.
+    the worker count and of which process ran which stripe.
 
     :raises ValueError: if any merged multiplicity is negative — that
-        always means a block kernel diverged from its serial counterpart.
+        always means a stripe diverged from the serial path.
     """
     totals: dict = {}
     for shard in results:
@@ -122,30 +211,21 @@ def merge_shard_counts(results: List[ShardResult]) -> EvidenceSet:
 
 
 def apply_tuple_records(tuple_index, results: List[ShardResult]) -> None:
-    """Install the blocks' per-tuple ownership records, in rid order.
-
-    A rid's records are split across its grid blocks, so the sort key is
-    the rid alone (the per-rid merge in the recorder is commutative
-    addition / bit-OR; same-rid order cannot affect the result).
-    """
-    from repro.evidence.kernels.base import TupleIndexRecorder
-
+    """Install the stripes' tuple-index records in rid order."""
     recorder = TupleIndexRecorder(tuple_index)
-    records = [record for shard in results for record in shard.tuple_records]
+    records = [record for shard in results for record in shard.records]
     for rid, owned_counter, partner_bits in sorted(
         records, key=lambda record: record[0]
     ):
         recorder.record(rid, owned_counter, partner_bits)
 
 
-def report_shards(
-    results: List[ShardResult], workers: int, n_groups: int
-) -> None:
-    """Feed per-block spans' worth of accounting into the active probe.
+def report_shards(results: List[ShardResult], kernel, workers: int) -> None:
+    """Re-emit the stripes' accounting through the active probe.
 
-    Worker processes cannot reach the parent's metrics registry, so each
-    block measures itself and the parent re-emits the aggregate here: the
-    serial continuity counters (``evidence.*``) plus the ``parallel.*``
+    Children cannot reach the parent's metrics registry, so the parent
+    emits the summed kernel stats and stripe-body counters as one serial
+    batch would (``kernel.*``, ``evidence.*``), plus the ``parallel.*``
     family described in docs/observability.md.
     """
     probe = get_probe()
@@ -154,163 +234,54 @@ def report_shards(
     probe.inc("parallel.batches")
     probe.inc("parallel.shards", len(results))
     probe.set_gauge("parallel.workers", workers)
+    total = KernelStats()
+    counters: dict = {}
     for shard in results:
         probe.observe("parallel.shard_seconds", shard.duration)
-        probe.observe("parallel.shard_pairs", shard.pairs)
-        if shard.backend:
-            probe.inc("kernel.batches")
-            probe.inc(f"kernel.batches.{shard.backend}")
-        probe.inc("evidence.context_pipelines", shard.pipelines)
-        probe.inc("evidence.pairs_compared", shard.pairs)
-        probe.inc("evidence.contexts_out", shard.contexts_out)
-        probe.inc("evidence.index_probes", shard.pipelines * n_groups)
-        if shard.pairs_inferred:
-            probe.inc("evidence.pairs_inferred", shard.pairs_inferred)
+        probe.observe("parallel.shard_pairs", shard.stats.pairs)
+        total.add(shard.stats)
+        for name, value in shard.counters.items():
+            counters[name] = counters.get(name, 0) + value
+    emit_kernel_stats(probe, kernel.name, total, len(kernel.space.groups))
+    for name, value in counters.items():
+        probe.inc(name, value)
 
 
-def report_executor(executor, n_shards: int) -> None:
-    """Emit one grid run's dispatch accounting as ``executor.*`` metrics.
-
-    ``tasks``/``grid_shards`` are deterministic for a given workload and
-    shard count (bench_gate gates them); ``steals``/``redispatched`` and
-    the per-run wall depend on scheduling and are observability only.
-    """
-    probe = get_probe()
-    if probe is None:
-        return
-    stats = executor.stats
-    probe.inc("executor.tasks", stats.tasks)
-    probe.inc(f"executor.runs.{executor.name}")
-    probe.set_gauge("executor.workers", stats.workers)
-    probe.set_gauge("executor.grid_shards", n_shards)
-    probe.inc("executor.bytes_shipped", stats.bytes_shipped)
-    if stats.steals:
-        probe.inc("executor.steals", stats.steals)
-    if stats.redispatched:
-        probe.inc("executor.redispatched", stats.redispatched)
-
-
-def run_grid(
-    context: dict,
-    specs: List[dict],
-    workers: int,
-    executor_name: Optional[str],
-    n_shards: int,
-) -> List[ShardResult]:
-    """Run one operation's grid blocks on the requested executor and
-    gather results in spec order (the caller merges without caring which
-    worker finished first)."""
-    executor = make_executor(executor_name, workers)
-    results = executor.run(context, specs)
-    report_shards(results, workers, len(context["space"].groups))
-    report_executor(executor, n_shards)
-    # Mirror the blocks into the flight recorder (no-op unless the
-    # serving layer installed one and a trace context is active).
-    flight.record_shard_spans(results)
-    return results
-
-
-# -- parent-side orchestration -------------------------------------------------
-
-
-def _context(relation, space, indexes, tuple_index, backend) -> dict:
-    """Build the shared engine snapshot.  The kernel is constructed in the
-    parent — fork workers share its column arrays copy-on-write; spawn and
-    socket workers rebuild it from the ``backend`` name instead."""
-    from repro.evidence.kernels import make_kernel
-
-    return {
-        "relation": relation,
-        "space": space,
-        "indexes": indexes,
-        "tuple_index": tuple_index,
-        "alive_bits": relation.alive_bits,
-        "backend": backend,
-        "kernel": make_kernel(backend, relation, space, indexes),
-    }
-
-
-def parallel_static_evidence(
-    relation,
-    space,
-    indexes,
-    tuple_index,
-    workers: int,
-    backend=None,
-    executor: Optional[str] = "auto",
-    shards: Optional[int] = None,
+def run_striped(
+    kernel, items: list, run_stripe: Callable, workers: int, tuple_index=None
 ) -> EvidenceSet:
-    """Pair-grid static evidence build; populates ``tuple_index`` when
-    given.  The caller has already decided to parallelize
-    (``should_parallelize``)."""
-    n_items = len(list(relation.rids()))
-    n_shards = grid_shard_count(workers, n_items, shards)
-    results = run_grid(
-        _context(relation, space, indexes, tuple_index, backend),
-        plan_blocks("static", n_shards),
-        workers,
-        executor,
-        n_shards,
-    )
+    """Stripe ``items`` over ``workers``, run ``run_stripe`` on each
+    stripe, and merge: the evidence is returned, tuple-index records go
+    into ``tuple_index`` (when given), counters to the probe and stripe
+    spans to the flight recorder."""
+    results = run_stripes(stripe(items, workers), run_stripe)
+    merged = merge_shard_counts(results)
     if tuple_index is not None:
         apply_tuple_records(tuple_index, results)
-    return merge_shard_counts(results)
+    report_shards(results, kernel, workers)
+    flight.record_shard_spans(results, kernel.name)
+    return merged
 
 
-def parallel_insert_evidence(
-    relation,
-    state,
-    delta_list: List[int],
-    infer_within_delta: bool,
+def reconcile_striped(
+    kernel,
+    tasks: list,
     workers: int,
-    backend=None,
-    executor: Optional[str] = "auto",
-    shards: Optional[int] = None,
+    tuple_index=None,
+    symmetric_bits: Optional[int] = None,
 ) -> EvidenceSet:
-    """Pair-grid ``E_Δr`` computation for an insert batch (already
-    inserted into the relation and indexed, exactly as the serial
-    precondition)."""
-    kind = "insert_opt" if infer_within_delta else "insert_base"
-    n_shards = grid_shard_count(workers, len(delta_list), shards)
-    results = run_grid(
-        _context(
-            relation, state.space, state.indexes, state.tuple_index, backend
-        ),
-        plan_blocks(kind, n_shards, delta_list=delta_list),
-        workers,
-        executor,
-        n_shards,
-    )
-    if state.tuple_index is not None:
-        apply_tuple_records(state.tuple_index, results)
-    return merge_shard_counts(results)
+    """The pooled equivalent of ``kernel.reconcile(tasks, ...)`` into a
+    fresh evidence set, with tuple-index recording when ``tuple_index``
+    is given."""
 
+    def run_stripe(stripe_tasks: list) -> ShardResult:
+        result = ShardResult()
+        recorder = (
+            ListRecorder(result.records) if tuple_index is not None else None
+        )
+        result.stats = kernel.reconcile(
+            stripe_tasks, CounterSink(result.counts), recorder, symmetric_bits
+        )
+        return result
 
-def parallel_delete_evidence(
-    relation,
-    state,
-    delete_list: List[int],
-    strategy: str,
-    workers: int,
-    backend=None,
-    executor: Optional[str] = "auto",
-    shards: Optional[int] = None,
-) -> EvidenceSet:
-    """Pair-grid ``E_Δr`` computation for a delete batch (rows still alive
-    and indexed).  For the index strategy the per-tuple records of the
-    dying tuples are dropped after the gather, as the serial loop does."""
-    kind = "delete_index" if strategy == "index" else "delete_recompute"
-    n_shards = grid_shard_count(workers, len(delete_list), shards)
-    results = run_grid(
-        _context(
-            relation, state.space, state.indexes, state.tuple_index, backend
-        ),
-        plan_blocks(kind, n_shards, delete_list=delete_list),
-        workers,
-        executor,
-        n_shards,
-    )
-    if kind == "delete_index":
-        for rid in delete_list:
-            state.tuple_index.drop_tuple(rid)
-    return merge_shard_counts(results)
+    return run_striped(kernel, tasks, run_stripe, workers, tuple_index)

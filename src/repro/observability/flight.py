@@ -235,27 +235,26 @@ def record_report_spans(report) -> None:
     emit(report.root, context.span_id)
 
 
-def record_shard_spans(results) -> None:
-    """Record one span per parallel-evidence shard under the current
-    context.  Shards ran concurrently in worker processes; only their
-    durations are known, so starts are back-dated from now."""
+def record_shard_spans(results, backend: str) -> None:
+    """Record one span per pooled evidence stripe under the current
+    context, at the epoch start and duration the stripe's own process
+    measured."""
     recorder = _RECORDER
     context = tracectx.current()
     if recorder is None or context is None:
         return
-    now = time.time()
     for index, shard in enumerate(results):
         recorder.record_span({
             "trace_id": context.trace_id,
             "span_id": tracectx.new_span_id(),
             "parent_id": context.span_id,
             "name": f"evidence.shard[{index}]",
-            "start": now - shard.duration,
+            "start": shard.start,
             "duration": shard.duration,
             "attrs": {
-                "pairs": shard.pairs,
-                "pipelines": shard.pipelines,
-                "backend": shard.backend,
+                "pairs": shard.stats.pairs,
+                "pipelines": shard.stats.pipelines,
+                "backend": backend,
             },
         })
 

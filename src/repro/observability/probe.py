@@ -54,16 +54,6 @@ def probe_span(name: str):
     return active.tracer.span(name)
 
 
-def deactivate() -> None:
-    """Drop this thread's probe unconditionally.
-
-    For forked pool workers, which inherit the parent's installation
-    without its context manager: per-pair accounting in the child would
-    be lost at process exit, so the parent re-emits aggregates instead.
-    """
-    _SLOT.active = None
-
-
 class _ProbeInstallation:
     """Context manager installing one instrumentation as the probe."""
 

@@ -133,7 +133,7 @@ def test_crash_matrix(tmp_path, fault_injector, point, operation):
     # explicit checkpoint (and for the state_save.* points, always) the
     # run completes uninterrupted — and must still recover identically.
     # executor.* points fire only inside parallel-evidence workers (this
-    # workload runs serial; test_executors.py covers the firing path).
+    # workload runs serial; test_parallel.py covers the firing path).
     if operation != "checkpoint" and not point.startswith(
         ("state_save", "executor.")
     ):

@@ -417,7 +417,7 @@ def test_failover_matrix(tmp_path, fault_injector, point, operation):
     fault_injector.reset()
 
     # executor.* points fire only inside parallel-evidence workers (this
-    # workload runs serial; test_executors.py covers the firing path).
+    # workload runs serial; test_parallel.py covers the firing path).
     if operation != "checkpoint" and not point.startswith(
         ("state_save", "executor.")
     ):

@@ -387,6 +387,22 @@ class TestEndToEndTracing:
             assert shard_seen, (
                 "workers=2 cycles must record per-shard spans"
             )
+            # Shard spans carry the times their stripes measured, so each
+            # lies inside the span it was recorded under.
+            spans = {span["span_id"]: span for span in service.flight.spans()}
+            shards = [
+                span for span in spans.values()
+                if span["name"].startswith("evidence.shard[")
+            ]
+            assert shards
+            slack = 1e-3  # epoch vs monotonic clock reads
+            for shard in shards:
+                parent = spans[shard["parent_id"]]
+                assert shard["start"] >= parent["start"] - slack
+                assert (
+                    shard["start"] + shard["duration"]
+                    <= parent["start"] + parent["duration"] + slack
+                )
 
         # Per-request work counters sum exactly to each cycle's totals.
         cycles: dict = {}
