@@ -15,6 +15,11 @@ compares what *is* deterministic:
    docs/performance.md) must reproduce the serial digest and the serial
    ``evidence.*`` counters exactly, and its counters are gated like the
    benchmark work counters.
+3. **DynEI delete counters** — the ``enumeration.*`` counters of each
+   digest workload's delete (DCs dropped, flagged predicates re-checked
+   against the evidence, DCs re-added and re-grown) are written to
+   ``results/dynei_delete_gate.json`` and gated the same way; the gate
+   fails outright when neither delete removed any evidence.
 
 Usage::
 
@@ -96,8 +101,10 @@ def collect_counters() -> dict:
     return counters
 
 
-def compute_digests() -> dict:
-    """Canonical state digests of fixed workloads, one per backend."""
+def compute_digests() -> tuple:
+    """Canonical state digests of fixed workloads, one per backend, and
+    the ``enumeration.*`` counters of each workload's delete (from the
+    first backend, python)."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.core.state_io import state_to_bytes
     from repro.evidence.kernels import numpy_available
@@ -110,7 +117,9 @@ def compute_digests() -> dict:
 
     backends = ("python", "numpy") if numpy_available() else ("python",)
     digests = {}
+    deletes = {}
     for name, delete_strategy in DIGEST_WORKLOADS:
+        label = f"{name}/{delete_strategy}"
         total_rows = max(40, int(BASE_ROWS[name] * GATE_SCALE))
         static_rows, delta_rows = insert_workload(
             name, 0.2, total_rows=total_rows
@@ -125,12 +134,16 @@ def compute_digests() -> dict:
             half = len(delta_rows) // 2 or 1
             discoverer.insert(delta_rows[:half])
             rids = sorted(discoverer.relation.rids())
-            discoverer.delete(rids[1::5])
+            deleted = discoverer.delete(rids[1::5])
+            deletes.setdefault(label, {
+                key: value
+                for key, value in deleted.report.metrics["counters"].items()
+                if key.startswith("enumeration.")
+            })
             discoverer.insert(delta_rows[half:])
             per_backend[backend] = hashlib.sha256(
                 state_to_bytes(discoverer)
             ).hexdigest()
-        label = f"{name}/{delete_strategy}"
         if len(set(per_backend.values())) != 1:
             raise SystemExit(
                 f"gate: FAIL — backends disagree on {label}: {per_backend}"
@@ -140,7 +153,47 @@ def compute_digests() -> dict:
             f"gate: digest {label} = {digests[label][:16]}… "
             f"({' = '.join(backends)})"
         )
-    return digests
+    return digests, deletes
+
+
+def dynei_delete_gate(deletes: dict) -> dict:
+    """Snapshot the digest workloads' DynEI delete counters.
+
+    ``deletes`` maps each digest workload to the ``enumeration.*``
+    counters of its delete.  They are written to
+    ``results/dynei_delete_gate.json`` and gated against the committed
+    baselines like the benchmark work counters.  A gate whose deletes
+    removed no evidence would never reach the drop / re-check / re-grow
+    path, so that fails here.
+    """
+    if not any(
+        counters.get("enumeration.einc_size", 0) for counters in deletes.values()
+    ):
+        raise SystemExit(
+            "gate: FAIL — no digest workload's delete removed any evidence, "
+            "so the DynEI delete path went unexercised"
+        )
+    gated = {
+        label: {key: counters[key] for key in sorted(counters)}
+        for label, counters in sorted(deletes.items())
+    }
+    record = {
+        "workload": "digest workload deletes",
+        "scale": GATE_SCALE,
+        "counters": gated,
+    }
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / "dynei_delete_gate.json").write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n"
+    )
+    for label, counters in gated.items():
+        print(
+            f"gate: DynEI delete {label} — "
+            f"{counters.get('enumeration.einc_size', 0)} evidences removed, "
+            f"{counters.get('enumeration.dcs_dropped', 0)} DCs dropped, "
+            f"{counters.get('enumeration.critical_rechecks', 0)} re-checks"
+        )
+    return gated
 
 
 def pool_gate_check(digests: dict) -> dict:
@@ -379,8 +432,9 @@ def main(argv=None) -> int:
     if not args.skip_bench:
         run_benchmarks()
     counters = collect_counters()
-    digests = compute_digests()
+    digests, deletes = compute_digests()
     counters["pool_gate.json"] = pool_gate_check(digests)
+    counters["dynei_delete_gate.json"] = dynei_delete_gate(deletes)
     trace_overhead_check()
 
     if args.update:

@@ -51,17 +51,15 @@ class DynEIBackend:
         self,
         removed_evidence_masks: Sequence[int],
         remaining_evidence_masks: Iterable[int],
-        verifier=None,
     ) -> None:
-        if removed_evidence_masks:
-            masks = dynei_delete(
-                self._space,
-                self._trie.masks(),
-                removed_evidence_masks,
-                remaining_evidence_masks,
-                verifier=verifier,
-            )
-            self._trie = SetTrie(masks)
+        # Like insert, the delete applies its Σ delta to the persistent
+        # trie in place.
+        dynei_delete(
+            self._space,
+            self._trie,
+            removed_evidence_masks,
+            remaining_evidence_masks,
+        )
 
     @property
     def masks(self) -> List[int]:
@@ -97,10 +95,7 @@ class DynHSBackend:
         self,
         removed_evidence_masks: Sequence[int],
         remaining_evidence_masks: Iterable[int],
-        verifier=None,
     ) -> None:
-        # DynHS keeps its own criticality state; the verifier fast path
-        # only applies to DynEI's drop/re-add split.
         self._enumerator.delete_evidence(
             removed_evidence_masks, remaining_evidence_masks
         )
@@ -147,7 +142,6 @@ class FixedSigmaBackend:
         self,
         removed_evidence_masks: Sequence[int],
         remaining_evidence_masks: Iterable[int],
-        verifier=None,
     ) -> None:
         pass
 

@@ -94,11 +94,6 @@ class DCDiscoverer:
         strings (``"!(t.A = t'.A ∧ …)"``), predicate masks, or
         :class:`~repro.dcs.DenialConstraint` objects; resolved against
         the predicate space at ``fit()``.
-    :param verify_pruning: in discover mode, use the verification kernel
-        for the exact minimality re-check of conservatively dropped DCs
-        on deletes (near-linear index sweeps instead of a scan over all
-        remaining evidence; the resulting antichain is identical).  An
-        execution knob like ``workers`` — not persisted with the state.
     """
 
     def __init__(
@@ -116,7 +111,6 @@ class DCDiscoverer:
         instrumentation: Optional[Instrumentation] = None,
         mode: str = "discover",
         constraints: Optional[Sequence] = None,
-        verify_pruning: bool = True,
     ):
         from repro.evidence.kernels import validate_backend
 
@@ -147,7 +141,6 @@ class DCDiscoverer:
         # the persisted config round-trips through state_from_dict.
         self.enumeration_backend = "fixed" if mode == "verify" else enumeration_backend
         self.constraints = list(constraints) if constraints is not None else None
-        self.verify_pruning = verify_pruning
         self.workers = workers
         self.backend = validate_backend(backend)
         self.instrumentation = instrumentation or Instrumentation()
@@ -431,19 +424,8 @@ class DCDiscoverer:
                             watcher.on_delete(rid_list)
                 with tracer.span("enumeration"):
                     tracer.annotate("einc_size", len(removed_masks))
-                    verifier = None
-                    if self.verify_pruning and removed_masks:
-                        from repro.verification.kernel import Verifier
-
-                        # Relation and indexes are post-delete here, so
-                        # kernel sweeps see exactly the remaining rows.
-                        verifier = Verifier(
-                            self.relation, self._state.indexes, self.space
-                        )
                     self._backend.delete(
-                        removed_masks,
-                        list(self._state.evidence),
-                        verifier=verifier,
+                        removed_masks, list(self._state.evidence)
                     )
 
         if instrumentation.enabled:

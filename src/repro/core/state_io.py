@@ -96,11 +96,10 @@ def state_to_dict(discoverer: DCDiscoverer) -> dict:
         "delete_strategy": discoverer.delete_strategy,
         "infer_within_delta": discoverer.infer_within_delta,
         "enumeration_backend": discoverer.enumeration_backend,
-        # The workers, (evidence-kernel) backend, and verify_pruning
-        # knobs are deliberately NOT persisted: they are execution
-        # settings of one process, not part of the data state, and
-        # leaving them out keeps saved states byte-identical across
-        # worker counts and backends.
+        # The workers and (evidence-kernel) backend knobs are
+        # deliberately NOT persisted: they are execution settings of one
+        # process, not part of the data state, and leaving them out keeps
+        # saved states byte-identical across worker counts and backends.
     }
     if discoverer.mode != "discover":
         # Only serialized when it deviates from the default, so every

@@ -6,42 +6,69 @@ Operates on evidence-set *changes*, not tuples:
   valid DCs can only become violated.  Starting from the previous
   antichain ``Σ``, only the genuinely new evidence masks
   ``E^inc = E_Δr \\ E_r`` are folded in.
-- **Deletes**: removed evidence can only make DCs *non-minimal*.  Each
-  removed evidence can have been critical for at most one predicate of a
-  DC [7], [8], [19]; DCs for which a removed evidence was critical (the
-  evidence contains all but exactly one of their predicates) are
-  conservatively dropped, exactly as in the paper.
+- **Deletes**: removed evidence can only make DCs *non-minimal*.  A valid
+  DC ``φ`` is minimal iff every predicate ``p ∈ φ`` has a *critical*
+  evidence — one containing ``φ ∖ {p}`` (it then lacks ``p``, since
+  ``φ`` is valid) [7], [8], [19].  DCs for which a removed evidence was
+  critical are dropped, exactly as in the paper.
 
-For the delete re-grow, the paper re-runs an EI pass over the entire
-remaining evidence, seeded with single-predicate DCs and pruned by the
-surviving DCs (Section VI-B).  This implementation exploits a sharper
-structural fact to make the re-grow *targeted* while producing the same
-output (cross-checked against static recomputation in the test suite):
+The delete answers every question from the evidence set, never from the
+relation, in four steps:
 
-    Every DC that is minimal for ``E_left`` but was not in the previous
-    ``Σ`` is contained in some **removed** evidence.
+1. **Flag.**  One pass over ``Σ`` records each DC's *flagged* predicates:
+   the ``p`` for which some removed evidence contained ``φ ∖ {p}``.  A DC
+   with a flagged predicate is dropped.
+2. **Re-check flagged predicates only.**  A dropped DC is re-added iff,
+   for every flagged ``p``, some *remaining* evidence still contains
+   ``φ ∖ {p}`` (:func:`lost_critical_predicate`; the scan stops at the
+   first hit).  An unflagged predicate lost no critical evidence, so its
+   critical evidence is still in ``E_left`` by construction.
+3. **Targeted re-grow.**  The paper re-runs an EI pass over the entire
+   remaining evidence, seeded with single-predicate DCs and pruned by the
+   surviving DCs (Section VI-B).  A sharper structural fact makes the
+   re-grow targeted while producing the same output:
 
-Proof: let ``m`` be minimal-valid for ``E_left`` with ``m ∉ Σ``.  Were
-``m`` valid for the old ``E`` too, each proper subset of ``m`` would be
-invalid for ``E_left`` (else ``m`` is non-minimal) and hence invalid for
-``E ⊇ E_left`` — making ``m`` minimal-valid for ``E``, i.e. ``m ∈ Σ``,
-a contradiction.  So ``m`` was *invalid* for ``E``: some old evidence
-contains it, and that evidence cannot remain (it would still invalidate
-``m``) — it is one of the removed ones.  ∎
+       Every DC that is minimal for ``E_left`` but was not in the previous
+       ``Σ`` is contained in some **removed** evidence.
 
-The re-grow therefore only (i) re-checks the conservatively dropped DCs
-for minimality against the remaining evidence (they cannot be contained
-in removed evidence, having been valid for ``E``), and (ii) enumerates,
-per removed evidence, the minimal hitting sets of the remaining-evidence
-complements restricted to subsets of that evidence — a tiny MMCS run.
-A final minimization restores the antichain across the three sources.
+   Proof: let ``m`` be minimal-valid for ``E_left`` with ``m ∉ Σ``.  Were
+   ``m`` valid for the old ``E`` too, each proper subset of ``m`` would be
+   invalid for ``E_left`` (else ``m`` is non-minimal) and hence invalid
+   for ``E ⊇ E_left`` — making ``m`` minimal-valid for ``E``, i.e.
+   ``m ∈ Σ``, a contradiction.  So ``m`` was *invalid* for ``E``: some old
+   evidence contains it, and that evidence cannot remain (it would still
+   invalidate ``m``) — it is one of the removed ones.  ∎
+
+   So each removed evidence ``r`` gets one tiny MMCS run: the minimal
+   hitting sets of the remaining-evidence complements restricted to
+   subsets of ``r`` (:func:`regrow`).
+4. **Apply the delta in place.**  The dropped DCs that failed the
+   re-check leave the trie and the re-grown masks enter it; nothing else
+   of ``Σ`` is touched.
+
+No final minimization is needed, because every mask in the result is
+minimal for ``E_left``:
+
+- a survivor or re-added DC is valid for ``E ⊇ E_left``, and each of its
+  predicates has a critical evidence in ``E_left`` (steps 1–2);
+- a re-grown mask ``m ⊆ r`` hits every remaining complement, so it is
+  valid for ``E_left``; it is a *minimal* hitting set inside ``r``, so
+  each proper subset ``m'`` misses some restricted edge ``(P ∖ e) ∩ r``
+  — with ``m' ⊆ r`` that means ``m' ⊆ e`` for a remaining ``e``, and
+  ``m'`` is invalid.
+
+Distinct masks that are all minimal-valid for the same evidence set are
+pairwise incomparable, so the updated trie is already the antichain.  It
+is also complete: a DC minimal for ``E_left`` was either in ``Σ`` (then
+it survived or passed the re-check) or lies inside a removed evidence
+(then the re-grow found it).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from repro.enumeration.inversion import maximal_masks, minimize_masks, refine_sigma
+from repro.enumeration.inversion import maximal_masks, refine_sigma
 from repro.enumeration.mmcs import mmcs_hitting_sets
 from repro.enumeration.settrie import SetTrie
 from repro.observability.probe import get_probe
@@ -65,18 +92,27 @@ def dynei_insert(
     return sorted(sigma.masks())
 
 
-def _still_minimal(dc_mask: int, remaining_masks: Sequence[int]) -> bool:
-    """Whether a valid DC stays minimal: every predicate must have a
-    critical evidence among the remaining ones (``dc ∖ e`` = that single
-    predicate) [7], [8]."""
-    marked = 0
-    for evidence in remaining_masks:
-        missing = dc_mask & ~evidence
-        if missing and missing & (missing - 1) == 0:
-            marked |= missing
-            if marked == dc_mask:
-                return True
-    return marked == dc_mask
+def lost_critical_predicate(
+    dc_mask: int, flagged: int, remaining_masks: Sequence[int]
+) -> int:
+    """The lowest flagged predicate of ``dc_mask`` that has no critical
+    evidence left, as a one-bit mask, or ``0`` when every flagged
+    predicate still has one (the DC stays minimal).
+
+    ``dc_mask`` must be valid for ``remaining_masks``, so a remaining
+    evidence containing ``dc ∖ {p}`` lacks ``p`` and is critical for it.
+    A nonzero result ``p`` means ``dc ∖ {p}`` is itself valid.
+    """
+    while flagged:
+        bit = flagged & -flagged
+        rest = dc_mask ^ bit
+        for evidence in remaining_masks:
+            if rest & evidence == rest:
+                break
+        else:
+            return bit
+        flagged ^= bit
+    return 0
 
 
 def _minimize_edges(edges: List[int]) -> List[int]:
@@ -90,75 +126,84 @@ def _minimize_edges(edges: List[int]) -> List[int]:
     return kept
 
 
+def regrow(
+    space: PredicateSpace,
+    removed_evidence_masks: Sequence[int],
+    remaining_masks: Sequence[int],
+) -> List[int]:
+    """The minimal DCs of ``remaining_masks`` inside each removed
+    evidence — one universe-restricted MMCS run per removed evidence (a
+    mask inside two removed evidences is listed twice)."""
+    full_mask = space.full_mask
+    remaining_complements = [full_mask & ~evidence for evidence in remaining_masks]
+    found: List[int] = []
+    for removed in removed_evidence_masks:
+        restricted = _minimize_edges(
+            [complement & removed for complement in remaining_complements]
+        )
+        found.extend(mmcs_hitting_sets(space, restricted, universe_mask=removed))
+    return found
+
+
 def dynei_delete(
     space: PredicateSpace,
-    sigma_masks: Sequence[int],
+    sigma: SetTrie,
     removed_evidence_masks: Sequence[int],
     remaining_evidence_masks: Iterable[int],
-    verifier=None,
-) -> List[int]:
-    """Update the DC antichain after a delete batch.
+) -> SetTrie:
+    """Update the DC antichain ``sigma`` after a delete batch (in place).
 
-    :param sigma_masks: minimal DC masks valid before the delete.
+    Returns ``sigma``.
+
+    :param sigma: the minimal DC masks valid before the delete.
     :param removed_evidence_masks: evidence masks whose multiplicity
         dropped to zero (from
         :func:`repro.evidence.deletes.apply_delete_evidence`).
     :param remaining_evidence_masks: all distinct evidence masks still in
         the evidence set (``E^left``).
-    :param verifier: optional
-        :class:`~repro.verification.Verifier` over the *post-delete*
-        relation; when given, the minimality re-check of conservatively
-        dropped DCs runs as near-linear index sweeps (is ``dc ∖ {p}``
-        violated?) instead of a scan over all remaining evidence.  A
-        dropped DC stays valid after a delete, so any remaining evidence
-        containing ``dc ∖ {p}`` necessarily lacks ``p`` — both checks are
-        exactly equivalent and the output antichain is identical.
     """
     if not removed_evidence_masks:
-        return sorted(sigma_masks)
+        return sigma
 
-    remaining = list(remaining_evidence_masks)
+    # (1) Flag: a removed evidence was critical for predicate p of a DC
+    # iff it contained every other predicate, i.e. the DC meets its
+    # complement in exactly p.
     full_mask = space.full_mask
-
-    # (1) Conservative split: a removed evidence was critical for a
-    # predicate of a DC iff it contained every other predicate.
     complements = [full_mask & ~evidence for evidence in removed_evidence_masks]
-    survivors: List[int] = []
-    dropped: List[int] = []
-    for dc_mask in sigma_masks:
-        was_critical = False
+    dropped = []
+    for dc_mask in sigma.mask_set:
+        flagged = 0
         for complement in complements:
             hit = dc_mask & complement
-            if hit and hit & (hit - 1) == 0:
-                was_critical = True
-                break
-        if was_critical:
-            dropped.append(dc_mask)
+            if hit & (hit - 1) == 0:
+                flagged |= hit
+        if flagged:
+            dropped.append((dc_mask, flagged))
+
+    # (2) Re-check the flagged predicates against the remaining
+    # evidence; a DC that lost a critical evidence leaves the trie.
+    remaining = list(remaining_evidence_masks)
+    rechecks = 0
+    readded = 0
+    for dc_mask, flagged in dropped:
+        lost = lost_critical_predicate(dc_mask, flagged, remaining)
+        if lost:
+            # Predicates are checked in ascending order up to the lost one.
+            rechecks += (flagged & ((lost << 1) - 1)).bit_count()
+            sigma.remove(dc_mask)
         else:
-            survivors.append(dc_mask)
+            rechecks += flagged.bit_count()
+            readded += 1
 
-    # (2) Exact minimality re-check of the conservatively dropped DCs.
-    if verifier is not None:
-        readded = [dc_mask for dc_mask in dropped if verifier.is_minimal(dc_mask)]
-    else:
-        readded = [
-            dc_mask for dc_mask in dropped if _still_minimal(dc_mask, remaining)
-        ]
-
-    # (3) Targeted re-grow: new minimal DCs live inside removed evidences.
-    remaining_complements = [full_mask & ~evidence for evidence in remaining]
-    new_masks: List[int] = []
-    for removed in removed_evidence_masks:
-        restricted = _minimize_edges(
-            [complement & removed for complement in remaining_complements]
-        )
-        new_masks.extend(
-            mmcs_hitting_sets(space, restricted, universe_mask=removed)
-        )
+    # (3) Targeted re-grow; the new minimal DCs enter the trie.
+    new_masks = regrow(space, removed_evidence_masks, remaining)
+    for mask in new_masks:
+        sigma.insert(mask)
 
     probe = get_probe()
     if probe is not None:
         probe.inc("enumeration.dcs_dropped", len(dropped))
-        probe.inc("enumeration.dcs_readded", len(readded))
+        probe.inc("enumeration.dcs_readded", readded)
         probe.inc("enumeration.dcs_regrown", len(new_masks))
-    return sorted(minimize_masks(survivors + readded + new_masks))
+        probe.inc("enumeration.critical_rechecks", rechecks)
+    return sigma

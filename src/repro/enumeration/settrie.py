@@ -132,97 +132,6 @@ class SetTrie:
                     push((child, acc | (1 << bit)))
         return found
 
-    def blocked_extension_bits(self, base: int, extension_bits: int) -> int:
-        """Bits ``p ∈ extension_bits`` for which some stored set is a
-        subset of ``base | (1 << p)``.
-
-        This answers all of DynEI's per-candidate minimality checks for
-        one violated DC in a single traversal: a stored set blocks the
-        extension ``p`` exactly when it is contained in the extended
-        candidate, i.e. all its bits lie in ``base`` except at most one,
-        which must be ``p``.  A stored subset of ``base`` itself would
-        block *every* extension — it cannot occur while the trie holds an
-        antichain that excluded ``base``, but is handled for safety.
-        """
-        blocked = 0
-        base_bits = list(iter_bits(base))
-        # Phase 0 walks only the nodes whose path uses `base` bits — a
-        # subtrie bounded by the (small) DC size, not by |Σ|.  Because the
-        # base is tiny, children are probed by dict lookup on the base
-        # bits rather than by iterating every child.  Each extension-bit
-        # child found there starts a phase-1 descent that again may only
-        # use `base` bits; reaching any terminal proves the extension
-        # dominated.  Already-proven bits are skipped, which collapses the
-        # many subtrees that would re-derive the same bit.
-        stack = [self._root]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            node = pop()
-            if node.terminal:
-                return extension_bits  # stored subset of base: blocks all
-            children = node.children
-            for bit in base_bits:
-                child = children.get(bit)
-                if child is not None:
-                    push(child)
-            # Extension candidates: probe whichever side is smaller.
-            if len(children) <= extension_bits.bit_count():
-                candidates = [
-                    (bit, child)
-                    for bit, child in children.items()
-                    if (extension_bits >> bit) & 1
-                ]
-            else:
-                candidates = [
-                    (bit, children[bit])
-                    for bit in iter_bits(extension_bits)
-                    if bit in children
-                ]
-            for bit, child in candidates:
-                bit_mask = 1 << bit
-                if blocked & bit_mask:
-                    continue
-                inner = [child]
-                inner_pop = inner.pop
-                inner_push = inner.append
-                while inner:
-                    inner_node = inner_pop()
-                    if inner_node.terminal:
-                        blocked |= bit_mask
-                        break
-                    inner_children = inner_node.children
-                    for inner_bit in base_bits:
-                        inner_child = inner_children.get(inner_bit)
-                        if inner_child is not None:
-                            inner_push(inner_child)
-        return blocked
-
-    def almost_subsets_of(self, mask: int) -> List[tuple]:
-        """All stored sets with exactly one bit outside ``mask``.
-
-        Returns ``(outside_bit, inside_mask)`` pairs with
-        ``σ = inside_mask | (1 << outside_bit)``.  This is DynEI's batched
-        minimality oracle: a stored set blocks the candidate ``v | {p}``
-        (``v ⊆ mask``) exactly when its outside bit is ``p`` and its
-        inside mask is contained in ``v`` — sets fully inside ``mask`` are
-        the *violated* ones and are handled separately.
-        """
-        found = []
-        stack = [(self._root, -1, 0)]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            node, missed, acc = pop()
-            if node.terminal and missed >= 0:
-                found.append((missed, acc))
-            for bit, child in node.children.items():
-                if (mask >> bit) & 1:
-                    push((child, missed, acc | (1 << bit)))
-                elif missed < 0:
-                    push((child, bit, acc))
-        return found
-
     def supersets_of(self, mask: int) -> List[int]:
         """All stored sets that are supersets of ``mask``."""
         found = []

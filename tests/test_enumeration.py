@@ -11,6 +11,7 @@ import pytest
 
 from repro.enumeration import (
     DynHS,
+    SetTrie,
     dfs_enumerate,
     dynei_delete,
     dynei_insert,
@@ -18,7 +19,7 @@ from repro.enumeration import (
     minimize_masks,
     mmcs_enumerate,
 )
-from repro.enumeration.inversion import maximal_masks
+from repro.enumeration.inversion import maximal_masks, refine_sigma
 from repro.enumeration.mmcs import complement_edges
 from repro.evidence import (
     apply_delete_evidence,
@@ -164,18 +165,16 @@ class TestDynEI:
     def test_delete_matches_static(self, seed):
         bench = _Workbench(seed + 20)
         removed = bench.delete(4)
-        dynamic = dynei_delete(
-            bench.space, bench.sigma, removed, list(bench.state.evidence)
-        )
-        assert dynamic == bench.static_sigma()
+        trie = SetTrie(bench.sigma)
+        dynei_delete(bench.space, trie, removed, list(bench.state.evidence))
+        assert sorted(trie) == bench.static_sigma()
 
     def test_no_change_batches(self):
         bench = _Workbench(99)
         assert dynei_insert(bench.space, bench.sigma, []) == bench.sigma
-        assert (
-            dynei_delete(bench.space, bench.sigma, [], list(bench.state.evidence))
-            == bench.sigma
-        )
+        trie = SetTrie(bench.sigma)
+        dynei_delete(bench.space, trie, [], list(bench.state.evidence))
+        assert sorted(trie) == bench.sigma
 
     def test_alternating_rounds(self):
         bench = _Workbench(7)
@@ -184,10 +183,29 @@ class TestDynEI:
             new_masks = bench.insert(3)
             sigma = dynei_insert(bench.space, sigma, new_masks)
             removed = bench.delete(3)
-            sigma = dynei_delete(
-                bench.space, sigma, removed, list(bench.state.evidence)
-            )
+            trie = SetTrie(sigma)
+            dynei_delete(bench.space, trie, removed, list(bench.state.evidence))
+            sigma = sorted(trie)
             assert sigma == bench.static_sigma()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_in_place_trie_stays_consistent(self, seed):
+        """One trie carried through alternating insert/delete rounds:
+        its size, mask-set mirror and traversal agree after every round,
+        and all three equal the static Σ."""
+        bench = _Workbench(seed + 80, n_rows=14)
+        trie = SetTrie(bench.sigma)
+        deleted = 0
+        for _ in range(4):
+            refine_sigma(bench.space, trie, maximal_masks(bench.insert(3)))
+            removed = bench.delete(3)
+            deleted += bool(removed)
+            dynei_delete(bench.space, trie, removed, list(bench.state.evidence))
+            walked = sorted(trie)
+            assert len(walked) == len(set(walked)) == len(trie)
+            assert set(walked) == trie.mask_set
+            assert walked == bench.static_sigma()
+        assert deleted, "no delete removed evidence — widen the workload"
 
 
 class TestDynHS:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmaps.bitutils import iter_bits
 from repro.enumeration import SetTrie
 
 masks = st.integers(min_value=0, max_value=(1 << 16) - 1)
@@ -67,23 +66,6 @@ def test_superset_queries_match_bruteforce(stored, query):
     trie = SetTrie(stored)
     expected = sorted({m for m in stored if m & query == query})
     assert sorted(trie.supersets_of(query)) == expected
-
-
-@given(stored=mask_lists, base=masks, ext=masks)
-@settings(max_examples=80, deadline=None)
-def test_blocked_extension_bits_match_bruteforce(stored, base, ext):
-    ext &= ~base
-    trie = SetTrie(stored)
-    stored_set = set(stored)
-    if any(m & ~base == 0 for m in stored_set):
-        expected = ext
-    else:
-        expected = 0
-        for bit in iter_bits(ext):
-            candidate = base | (1 << bit)
-            if any(m & candidate == m for m in stored_set):
-                expected |= 1 << bit
-    assert trie.blocked_extension_bits(base, ext) == expected
 
 
 @given(stored=mask_lists, removals=st.lists(st.integers(0, 29), max_size=10))

@@ -23,13 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DCDiscoverer, relation_from_rows
-from repro.core.state_io import state_to_bytes, state_to_dict
+from repro.bitmaps.bitutils import iter_bits
+from repro.core.state_io import state_from_dict, state_to_bytes, state_to_dict
 from repro.dcs.denial_constraint import DenialConstraint
 from repro.dcs.violations import find_violations, violating_partners
-from repro.enumeration.dynamic import dynei_delete
+from repro.enumeration.dynamic import dynei_delete, lost_critical_predicate
+from repro.enumeration.settrie import SetTrie
 from repro.evidence.indexes import ColumnIndexes
 from repro.predicates import build_predicate_space
 from repro.verification import ProbeCache, Verifier
+from tests.test_differential import static_oracle
 
 NAN = float("nan")
 
@@ -241,6 +244,62 @@ class TestMinimality:
                     assert not verifier.is_minimal(mask | extra)
 
 
+def _flagged_bits(dc_mask, removed_masks):
+    """Predicates ``p`` of a DC for which some removed evidence contained
+    ``dc ∖ {p}`` — the definition, not the engine's complement arithmetic."""
+    flagged = 0
+    for bit in iter_bits(dc_mask):
+        rest = dc_mask & ~(1 << bit)
+        if any(rest & evidence == rest for evidence in removed_masks):
+            flagged |= 1 << bit
+    return flagged
+
+
+@pytest.mark.verification
+@given(
+    rows=rows_strategy,
+    batches=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    seed=st.integers(0, 10**9),
+)
+@settings(deadline=None)
+def test_delete_recheck_matches_verifier_oracle(rows, batches, seed):
+    """The DynEI delete's evidence-side re-check agrees with the kernel.
+
+    After each delete batch, every DC that lost a critical evidence
+    (flagged) gets the evidence-side verdict of
+    :func:`lost_critical_predicate`, which must equal
+    ``Verifier.is_minimal`` over the post-delete relation — and decide
+    whether the DC is still in Σ.  Σ itself must equal the static
+    re-discovery oracle."""
+    rng = random.Random(seed)
+    relation = relation_from_rows(["A", "B", "C"], rows)
+    discoverer = DCDiscoverer(relation)
+    discoverer.fit()
+    for size in batches:
+        alive = sorted(discoverer.relation.rids())
+        if len(alive) <= size:
+            break
+        sigma_before = set(discoverer.dc_mask_set)
+        evidence_before = set(discoverer.evidence_set)
+        discoverer.delete(rng.sample(alive, size))
+        removed = evidence_before - set(discoverer.evidence_set)
+        remaining = list(discoverer.evidence_set)
+        verifier = Verifier(
+            discoverer.relation, discoverer.engine_state.indexes, discoverer.space
+        )
+        sigma_after = discoverer.dc_mask_set
+        for dc_mask in sigma_before:
+            flagged = _flagged_bits(dc_mask, removed)
+            if not flagged:
+                assert dc_mask in sigma_after
+                continue
+            verdict = not lost_critical_predicate(dc_mask, flagged, remaining)
+            assert verdict == verifier.is_minimal(dc_mask)
+            assert verdict == (dc_mask in sigma_after)
+        _, oracle_sigma = static_oracle(discoverer)
+        assert set(discoverer.dc_masks) == oracle_sigma
+
+
 @pytest.mark.verification
 @given(
     rows=st.lists(
@@ -252,25 +311,43 @@ class TestMinimality:
 )
 @settings(deadline=None)
 def test_verify_pruning_identical_antichain(rows, n_delete):
-    """Deletes with verify_pruning on and off produce the identical DC
-    antichain and byte-identical saved state (the kernel's minimality
-    re-check is exactly equivalent to the evidence scan)."""
+    """A delete leaves the antichain that pruning with the verifier gives.
+
+    The DCs of the old Σ that survive are exactly those
+    ``Verifier.is_minimal`` accepts on the post-delete relation, and every
+    DC of the new Σ is valid and minimal there.  The in-place Σ delta does
+    not depend on how the trie was built: a discoverer restored from the
+    pre-delete state deletes to byte-identical saved state."""
     rids = sorted(random.Random(7).sample(range(len(rows)), n_delete))
-    results = []
-    for pruning in (True, False):
-        relation = relation_from_rows(["A", "B", "C"], rows)
-        discoverer = DCDiscoverer(relation, verify_pruning=pruning)
-        discoverer.fit()
-        discoverer.delete(rids)
-        results.append((list(discoverer.dc_masks), state_to_bytes(discoverer)))
-    assert results[0] == results[1]
+    relation = relation_from_rows(["A", "B", "C"], rows)
+    discoverer = DCDiscoverer(relation)
+    discoverer.fit()
+    restored = state_from_dict(state_to_dict(discoverer))
+    sigma_before = set(discoverer.dc_mask_set)
+    discoverer.delete(rids)
+    restored.delete(rids)
+
+    verifier = Verifier(
+        discoverer.relation, discoverer.engine_state.indexes, discoverer.space
+    )
+    sigma_after = set(discoverer.dc_mask_set)
+    kept = {mask for mask in sigma_before if verifier.is_minimal(mask)}
+    assert sigma_after & sigma_before == kept
+    for mask in sigma_after:
+        assert not verifier.has_violation(mask)
+        assert verifier.is_minimal(mask)
+    assert restored.dc_masks == discoverer.dc_masks
+    assert state_to_bytes(restored) == state_to_bytes(discoverer)
 
 
 def test_dynei_delete_with_verifier_matches_evidence_path(abc_factory):
-    """dynei_delete(verifier=...) returns the identical antichain to the
-    pure evidence-scan path at every step of a delete workload."""
+    """Replaying ``dynei_delete`` on a fresh trie of the pre-delete Σ gives
+    the discoverer's Σ at every step of a delete workload, and the verifier
+    agrees with the evidence path: an old DC survives iff it is still
+    minimal on the post-delete relation, and every regrown DC is valid and
+    minimal."""
     relation = abc_factory(16, seed=11)
-    discoverer = DCDiscoverer(relation, verify_pruning=False)
+    discoverer = DCDiscoverer(relation)
     discoverer.fit()
     rng = random.Random(5)
     exercised = 0
@@ -281,21 +358,23 @@ def test_dynei_delete_with_verifier_matches_evidence_path(abc_factory):
         rid = rng.choice(alive)
         sigma_before = sorted(discoverer.dc_masks)
         evidence_before = set(discoverer.evidence_set)
-        discoverer.delete([rid])  # ran the evidence-scan path
+        discoverer.delete([rid])
         removed = sorted(evidence_before - set(discoverer.evidence_set))
-        # Replay the enumeration step with the verifier over the
-        # post-delete state; the antichain must come out identical.
+        replayed = dynei_delete(
+            discoverer.space,
+            SetTrie(sigma_before),
+            removed_evidence_masks=removed,
+            remaining_evidence_masks=list(discoverer.evidence_set),
+        )
+        assert sorted(replayed) == sorted(discoverer.dc_masks)
         verifier = Verifier(
             discoverer.relation, discoverer.engine_state.indexes, discoverer.space
         )
-        replayed = dynei_delete(
-            discoverer.space,
-            sigma_before,
-            removed_evidence_masks=removed,
-            remaining_evidence_masks=list(discoverer.evidence_set),
-            verifier=verifier,
-        )
-        assert replayed == sorted(discoverer.dc_masks)
+        for mask in sigma_before:
+            assert (mask in replayed.mask_set) == verifier.is_minimal(mask)
+        for mask in replayed.mask_set - set(sigma_before):
+            assert not verifier.has_violation(mask)
+            assert verifier.is_minimal(mask)
         exercised += bool(removed)
     assert exercised, "workload never removed evidence — widen it"
 
