@@ -20,6 +20,10 @@ compares what *is* deterministic:
    against the evidence, DCs re-added and re-grown) are written to
    ``results/dynei_delete_gate.json`` and gated the same way; the gate
    fails outright when neither delete removed any evidence.
+4. **Tracing is an observer with one recording path** — a traced run of
+   a fixed workload must match the untraced run's counters and digest,
+   and each traced call's flight records must form exactly that call's
+   ``RunReport`` span tree (``trace_overhead_check``).
 
 Usage::
 
@@ -284,22 +288,51 @@ def pool_gate_check(digests: dict) -> dict:
     return record["counters"]
 
 
+def _span_shape(name: str, children) -> tuple:
+    """A span subtree as ``(name, sorted child shapes)``: equal shapes
+    mean the same names under the same parents."""
+    return (name, tuple(sorted(children)))
+
+
+def _report_shape(span) -> tuple:
+    return _span_shape(span.name, (_report_shape(c) for c in span.children))
+
+
+def _record_shape(record: dict) -> tuple:
+    return _span_shape(
+        record["name"], (_record_shape(c) for c in record["children"])
+    )
+
+
+def _count_spans(span) -> int:
+    return 1 + sum(_count_spans(child) for child in span.children)
+
+
 def trace_overhead_check() -> dict:
     """Tracing must observe the engine, never change it.
 
-    Runs one fixed maintenance workload twice — with a flight recorder
-    installed under an active trace context, and fully untraced — and
-    demands byte-identical work counters and state digests.  No committed
-    baseline: the run is its own oracle (traced vs untraced).  Wall-clock
-    overhead is logged to ``results/trace_overhead.json`` for the perf
-    trajectory but never gated on (CI wall time is noise).
+    Runs one fixed maintenance workload twice — each call under its own
+    trace context bound to a flight recorder, and fully untraced — and
+    demands byte-identical work counters and state digests.  The traced
+    calls must also reach the recorder through the one span model only:
+    each call's flight records form exactly that call's ``RunReport``
+    span tree (the same names under the same parents, one record per
+    span, rooted under the call's context), so a second recording path
+    cannot come back unnoticed.  No committed baseline: the run is its
+    own oracle (traced vs untraced).  Wall-clock overhead is logged to
+    ``results/trace_overhead.json`` for the perf trajectory but never
+    gated on (CI wall time is noise).
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     import time
 
     from repro.core.state_io import state_to_bytes
-    from repro.observability.flight import FlightRecorder, set_recorder
-    from repro.observability.tracectx import TraceContext, activate
+    from repro.observability import (
+        FlightRecorder,
+        TraceContext,
+        build_span_tree,
+        tracectx,
+    )
     from _harness import (
         BASE_ROWS,
         clone_discoverer,
@@ -317,37 +350,31 @@ def trace_overhead_check() -> dict:
     def run(traced: bool):
         discoverer = clone_discoverer(payload)
         half = len(delta_rows) // 2 or 1
-        previous = None
-        if traced:
-            previous = set_recorder(FlightRecorder(max_spans=4096))
+        calls = [
+            lambda: discoverer.insert(delta_rows[:half]),
+            lambda: discoverer.delete(sorted(discoverer.relation.rids())[1::5]),
+            lambda: discoverer.insert(delta_rows[half:]),
+        ]
+        reports, contexts = [], []
         started = time.perf_counter()
-        try:
-            context = activate(TraceContext.mint()) if traced else None
-            if context is not None:
-                context.__enter__()
-            try:
-                reports = [
-                    discoverer.insert(delta_rows[:half]).report,
-                    discoverer.delete(
-                        sorted(discoverer.relation.rids())[1::5]
-                    ).report,
-                    discoverer.insert(delta_rows[half:]).report,
-                ]
-            finally:
-                if context is not None:
-                    context.__exit__(None, None, None)
-        finally:
+        for call in calls:
+            context = None
             if traced:
-                set_recorder(previous)
+                context = TraceContext.mint(
+                    recorder=FlightRecorder(max_spans=4096)
+                )
+            with tracectx.activate(context):
+                reports.append(call().report)
+            contexts.append(context)
         wall = time.perf_counter() - started
         counters = json.dumps(
             [report.metrics["counters"] for report in reports], sort_keys=True
         )
         digest = hashlib.sha256(state_to_bytes(discoverer)).hexdigest()
-        return counters, digest, wall
+        return counters, digest, wall, list(zip(reports, contexts))
 
-    untraced_counters, untraced_digest, untraced_wall = run(traced=False)
-    traced_counters, traced_digest, traced_wall = run(traced=True)
+    untraced_counters, untraced_digest, untraced_wall, _ = run(traced=False)
+    traced_counters, traced_digest, traced_wall, traced_calls = run(traced=True)
     if traced_counters != untraced_counters:
         raise SystemExit(
             "gate: FAIL — work counters differ with tracing enabled "
@@ -358,11 +385,29 @@ def trace_overhead_check() -> dict:
             "gate: FAIL — state digest differs with tracing enabled "
             f"({name}/{delete_strategy})"
         )
+    n_records = 0
+    for report, context in traced_calls:
+        records = context.recorder.spans()
+        roots = build_span_tree(records)
+        if (
+            len(records) != _count_spans(report.root)
+            or len(roots) != 1
+            or roots[0]["parent_id"] != context.span_id
+            or _record_shape(roots[0]) != _report_shape(report.root)
+        ):
+            raise SystemExit(
+                f"gate: FAIL — the flight records of the traced "
+                f"{report.operation} ({len(records)} records, "
+                f"{len(roots)} roots) are not its RunReport span tree "
+                f"({_count_spans(report.root)} spans)"
+            )
+        n_records += len(records)
     report = {
         "workload": f"{name}/{delete_strategy}",
         "scale": GATE_SCALE,
         "counters_identical": True,
         "digest_identical": True,
+        "records_match_reports": True,
         "untraced_wall_s": round(untraced_wall, 6),
         "traced_wall_s": round(traced_wall, 6),
         "overhead_ratio": round(
@@ -375,7 +420,8 @@ def trace_overhead_check() -> dict:
     )
     print(
         f"gate: trace overhead OK — counters and digest byte-identical, "
-        f"wall {untraced_wall:.3f}s -> {traced_wall:.3f}s "
+        f"{n_records} flight records form the {len(traced_calls)} calls' "
+        f"span trees, wall {untraced_wall:.3f}s -> {traced_wall:.3f}s "
         f"(x{report['overhead_ratio']:.2f}, logged, not gated)"
     )
     return report

@@ -499,7 +499,7 @@ def _cmd_serve(args) -> int:
     print(f"serving on {service.url} ({role})", flush=True)
     service.serve_forever()
     print(
-        f"drained and stopped after {len(service.commit_log)} commits "
+        f"drained and stopped after {service.commits} commits "
         f"(state in {session.directory})"
     )
     return 0

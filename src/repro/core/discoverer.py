@@ -38,7 +38,7 @@ from repro.evidence.incremental import (
     apply_insert_evidence,
     incremental_evidence_for_insert,
 )
-from repro.observability import Instrumentation, flight, get_logger
+from repro.observability import Instrumentation, annotate, get_logger, span
 from repro.predicates.space import (
     DEFAULT_CROSS_COLUMN_RATIO,
     PredicateSpace,
@@ -79,11 +79,12 @@ class DCDiscoverer:
         identical for any backend; like ``workers``, the choice is an
         execution setting of this process and is not persisted with the
         state.
-    :param instrumentation: the observability bundle this discoverer
-        reports through; defaults to a fresh enabled
-        :class:`~repro.observability.Instrumentation`.  Pass
-        ``Instrumentation(enabled=False)`` to skip all deep accounting
-        (phase timings are always recorded).
+    :param instrumentation: the metrics registry this discoverer reports
+        through, installed as the pipeline probe for each call; defaults
+        to a fresh :class:`~repro.observability.Instrumentation`.  Spans
+        need no instrumentation: each call's phases nest under its root
+        :class:`~repro.observability.Span`, which becomes the returned
+        result's ``report.root``.
     :param mode: ``"discover"`` (the default: maintain evidence and
         rediscover Σ on every update) or ``"verify"``: track a *fixed*
         Σ of ``constraints`` without any evidence maintenance — updates
@@ -166,30 +167,28 @@ class DCDiscoverer:
         if self.mode == "verify":
             return self._fit_verify()
         instrumentation = self.instrumentation
-        tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
-        with instrumentation.activate():
-            with tracer.span("fit") as root:
-                with tracer.span("space"):
-                    self.space = build_predicate_space(
-                        self.relation,
-                        cross_column_ratio=self.cross_column_ratio,
-                        allow_cross_columns=self.allow_cross_columns,
-                        column_names=self.column_names,
-                    )
-                with tracer.span("evidence"):
-                    self._state = build_evidence_state(
-                        self.relation,
-                        self.space,
-                        maintain_tuple_index=self.maintain_tuple_index,
-                        workers=self.workers,
-                        backend=self.backend,
-                    )
-                with tracer.span("enumeration"):
-                    self._backend = make_backend(
-                        self.enumeration_backend, self.space
-                    )
-                    self._backend.bootstrap(list(self._state.evidence))
+        with instrumentation.activate(), span("fit") as root:
+            with span("space"):
+                self.space = build_predicate_space(
+                    self.relation,
+                    cross_column_ratio=self.cross_column_ratio,
+                    allow_cross_columns=self.allow_cross_columns,
+                    column_names=self.column_names,
+                )
+            with span("evidence"):
+                self._state = build_evidence_state(
+                    self.relation,
+                    self.space,
+                    maintain_tuple_index=self.maintain_tuple_index,
+                    workers=self.workers,
+                    backend=self.backend,
+                )
+            with span("enumeration"):
+                self._backend = make_backend(
+                    self.enumeration_backend, self.space
+                )
+                self._backend.bootstrap(list(self._state.evidence))
         self._fitted = True
         self._record_state_gauges()
         report = instrumentation.finish_operation("fit", root, before)
@@ -261,29 +260,27 @@ class DCDiscoverer:
                 "(DC strings, masks, or DenialConstraint objects)"
             )
         instrumentation = self.instrumentation
-        tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
-        with instrumentation.activate():
-            with tracer.span("fit") as root:
-                with tracer.span("space"):
-                    self.space = build_predicate_space(
-                        self.relation,
-                        cross_column_ratio=self.cross_column_ratio,
-                        allow_cross_columns=self.allow_cross_columns,
-                        column_names=self.column_names,
-                    )
-                with tracer.span("evidence"):
-                    # No evidence set in verify mode — only the indexes.
-                    self._state = EvidenceEngineState(
-                        space=self.space,
-                        indexes=ColumnIndexes(self.relation),
-                        evidence=EvidenceSet(),
-                        tuple_index=None,
-                    )
-                with tracer.span("enumeration"):
-                    self._backend = make_backend("fixed", self.space)
-                    self._backend.set_masks(self._resolve_constraint_masks())
-                    self._seed_verify_watcher()
+        with instrumentation.activate(), span("fit") as root:
+            with span("space"):
+                self.space = build_predicate_space(
+                    self.relation,
+                    cross_column_ratio=self.cross_column_ratio,
+                    allow_cross_columns=self.allow_cross_columns,
+                    column_names=self.column_names,
+                )
+            with span("evidence"):
+                # No evidence set in verify mode — only the indexes.
+                self._state = EvidenceEngineState(
+                    space=self.space,
+                    indexes=ColumnIndexes(self.relation),
+                    evidence=EvidenceSet(),
+                    tuple_index=None,
+                )
+            with span("enumeration"):
+                self._backend = make_backend("fixed", self.space)
+                self._backend.set_masks(self._resolve_constraint_masks())
+                self._seed_verify_watcher()
         self._fitted = True
         self._record_state_gauges()
         report = instrumentation.finish_operation("fit", root, before)
@@ -319,49 +316,45 @@ class DCDiscoverer:
         if self.mode == "verify":
             return self._insert_verify(rows)
         instrumentation = self.instrumentation
-        tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
         previous_masks = set(self._backend.mask_set)
 
-        with instrumentation.activate():
-            with tracer.span("insert") as root:
-                with tracer.span("evidence"):
-                    new_rids = self.relation.insert(rows)
-                    tracer.annotate("batch_rows", len(new_rids))
-                    if new_rids:
-                        with tracer.span("index_update"):
-                            self._state.indexes.add_rows(new_rids)
-                        with tracer.span("delta"):
-                            evidence_delta = incremental_evidence_for_insert(
-                                self.relation,
-                                self._state,
-                                new_rids,
-                                infer_within_delta=self.infer_within_delta,
-                                workers=self.workers,
-                                backend=self.backend,
-                            )
-                        with tracer.span("apply"):
-                            new_masks = apply_insert_evidence(
-                                self._state, evidence_delta
-                            )
-                    else:
-                        evidence_delta = EvidenceSet()
-                        new_masks = []
-                    with tracer.span("notify"):
-                        for monitor in self._monitors:
-                            monitor.apply_insert_delta(
-                                evidence_delta, len(self.relation)
-                            )
-                        for watcher in self._watchers:
-                            watcher.on_insert(new_rids)
-                with tracer.span("enumeration"):
-                    tracer.annotate("einc_size", len(new_masks))
-                    self._backend.insert(new_masks)
+        with instrumentation.activate(), span("insert") as root:
+            with span("evidence"):
+                new_rids = self.relation.insert(rows)
+                annotate("batch_rows", len(new_rids))
+                if new_rids:
+                    with span("index_update"):
+                        self._state.indexes.add_rows(new_rids)
+                    with span("delta"):
+                        evidence_delta = incremental_evidence_for_insert(
+                            self.relation,
+                            self._state,
+                            new_rids,
+                            infer_within_delta=self.infer_within_delta,
+                            workers=self.workers,
+                            backend=self.backend,
+                        )
+                    with span("apply"):
+                        new_masks = apply_insert_evidence(
+                            self._state, evidence_delta
+                        )
+                else:
+                    evidence_delta = EvidenceSet()
+                    new_masks = []
+                with span("notify"):
+                    for monitor in self._monitors:
+                        monitor.apply_insert_delta(
+                            evidence_delta, len(self.relation)
+                        )
+                    for watcher in self._watchers:
+                        watcher.on_insert(new_rids)
+            with span("enumeration", {"einc_size": len(new_masks)}):
+                self._backend.insert(new_masks)
 
-        if instrumentation.enabled:
-            instrumentation.inc("discoverer.inserts")
-            instrumentation.inc("discoverer.rows_inserted", len(new_rids))
-            instrumentation.inc("enumeration.einc_size", len(new_masks))
+        instrumentation.inc("discoverer.inserts")
+        instrumentation.inc("discoverer.rows_inserted", len(new_rids))
+        instrumentation.inc("enumeration.einc_size", len(new_masks))
         return self._update_result(
             "insert", new_rids, len(new_masks), previous_masks, root, before
         )
@@ -384,54 +377,49 @@ class DCDiscoverer:
         if len(set(rid_list)) != len(rid_list):
             raise ValueError("duplicate rids in delete batch")
         instrumentation = self.instrumentation
-        tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
         previous_masks = set(self._backend.mask_set)
 
-        with instrumentation.activate():
-            with tracer.span("delete") as root:
-                with tracer.span("evidence"):
-                    tracer.annotate("batch_rows", len(rid_list))
-                    if rid_list:
-                        with tracer.span("delta"):
-                            if self.delete_strategy == "index":
-                                evidence_delta = delete_evidence_with_index(
-                                    self.relation, self._state, rid_list,
-                                    workers=self.workers,
-                                    backend=self.backend,
-                                )
-                            else:
-                                evidence_delta = delete_evidence_by_recompute(
-                                    self.relation, self._state, rid_list,
-                                    workers=self.workers,
-                                    backend=self.backend,
-                                )
-                        with tracer.span("apply"):
-                            removed_masks = apply_delete_evidence(
-                                self._state, evidence_delta
+        with instrumentation.activate(), span("delete") as root:
+            with span("evidence", {"batch_rows": len(rid_list)}):
+                if rid_list:
+                    with span("delta"):
+                        if self.delete_strategy == "index":
+                            evidence_delta = delete_evidence_with_index(
+                                self.relation, self._state, rid_list,
+                                workers=self.workers,
+                                backend=self.backend,
                             )
-                            self.relation.delete(rid_list)
-                            self._state.indexes.remove_rows(rid_list)
-                    else:
-                        evidence_delta = EvidenceSet()
-                        removed_masks = []
-                    with tracer.span("notify"):
-                        for monitor in self._monitors:
-                            monitor.apply_delete_delta(
-                                evidence_delta, len(self.relation)
+                        else:
+                            evidence_delta = delete_evidence_by_recompute(
+                                self.relation, self._state, rid_list,
+                                workers=self.workers,
+                                backend=self.backend,
                             )
-                        for watcher in self._watchers:
-                            watcher.on_delete(rid_list)
-                with tracer.span("enumeration"):
-                    tracer.annotate("einc_size", len(removed_masks))
-                    self._backend.delete(
-                        removed_masks, list(self._state.evidence)
-                    )
+                    with span("apply"):
+                        removed_masks = apply_delete_evidence(
+                            self._state, evidence_delta
+                        )
+                        self.relation.delete(rid_list)
+                        self._state.indexes.remove_rows(rid_list)
+                else:
+                    evidence_delta = EvidenceSet()
+                    removed_masks = []
+                with span("notify"):
+                    for monitor in self._monitors:
+                        monitor.apply_delete_delta(
+                            evidence_delta, len(self.relation)
+                        )
+                    for watcher in self._watchers:
+                        watcher.on_delete(rid_list)
+            with span("enumeration", {"einc_size": len(removed_masks)}):
+                self._backend.delete(
+                    removed_masks, list(self._state.evidence)
+                )
 
-        if instrumentation.enabled:
-            instrumentation.inc("discoverer.deletes")
-            instrumentation.inc("discoverer.rows_deleted", len(rid_list))
-            instrumentation.inc("enumeration.einc_size", len(removed_masks))
+        instrumentation.inc("discoverer.deletes")
+        instrumentation.inc("discoverer.rows_deleted", len(rid_list))
+        instrumentation.inc("enumeration.einc_size", len(removed_masks))
         return self._update_result(
             "delete", rid_list, len(removed_masks), previous_masks, root, before
         )
@@ -440,29 +428,26 @@ class DCDiscoverer:
         """Verify-mode insert: index the rows, extend the violation sets
         of the tracked DCs — no evidence work, no enumeration."""
         instrumentation = self.instrumentation
-        tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
         previous_masks = set(self._backend.mask_set)
-        with instrumentation.activate():
-            with tracer.span("insert") as root:
-                with tracer.span("evidence"):
-                    new_rids = self.relation.insert(rows)
-                    tracer.annotate("batch_rows", len(new_rids))
-                    if new_rids:
-                        with tracer.span("index_update"):
-                            self._state.indexes.add_rows(new_rids)
-                    with tracer.span("notify"):
-                        n_new_pairs = 0
-                        for watcher in self._watchers:
-                            damage = watcher.on_insert(new_rids)
-                            if watcher is self._verify_watcher:
-                                n_new_pairs = sum(
-                                    len(pairs) for pairs in damage.values()
-                                )
-        if instrumentation.enabled:
-            instrumentation.inc("discoverer.inserts")
-            instrumentation.inc("discoverer.rows_inserted", len(new_rids))
-            instrumentation.inc("verification.new_violations", n_new_pairs)
+        with instrumentation.activate(), span("insert") as root:
+            with span("evidence"):
+                new_rids = self.relation.insert(rows)
+                annotate("batch_rows", len(new_rids))
+                if new_rids:
+                    with span("index_update"):
+                        self._state.indexes.add_rows(new_rids)
+                with span("notify"):
+                    n_new_pairs = 0
+                    for watcher in self._watchers:
+                        damage = watcher.on_insert(new_rids)
+                        if watcher is self._verify_watcher:
+                            n_new_pairs = sum(
+                                len(pairs) for pairs in damage.values()
+                            )
+        instrumentation.inc("discoverer.inserts")
+        instrumentation.inc("discoverer.rows_inserted", len(new_rids))
+        instrumentation.inc("verification.new_violations", n_new_pairs)
         return self._update_result(
             "insert", new_rids, 0, previous_masks, root, before
         )
@@ -477,29 +462,25 @@ class DCDiscoverer:
         if len(set(rid_list)) != len(rid_list):
             raise ValueError("duplicate rids in delete batch")
         instrumentation = self.instrumentation
-        tracer = instrumentation.tracer
         before = instrumentation.begin_operation()
         previous_masks = set(self._backend.mask_set)
-        with instrumentation.activate():
-            with tracer.span("delete") as root:
-                with tracer.span("evidence"):
-                    tracer.annotate("batch_rows", len(rid_list))
-                    if rid_list:
-                        with tracer.span("index_update"):
-                            self.relation.delete(rid_list)
-                            self._state.indexes.remove_rows(rid_list)
-                    with tracer.span("notify"):
-                        n_cleared = 0
-                        for watcher in self._watchers:
-                            removed = watcher.on_delete(rid_list)
-                            if watcher is self._verify_watcher:
-                                n_cleared = sum(
-                                    len(pairs) for pairs in removed.values()
-                                )
-        if instrumentation.enabled:
-            instrumentation.inc("discoverer.deletes")
-            instrumentation.inc("discoverer.rows_deleted", len(rid_list))
-            instrumentation.inc("verification.cleared_violations", n_cleared)
+        with instrumentation.activate(), span("delete") as root:
+            with span("evidence", {"batch_rows": len(rid_list)}):
+                if rid_list:
+                    with span("index_update"):
+                        self.relation.delete(rid_list)
+                        self._state.indexes.remove_rows(rid_list)
+                with span("notify"):
+                    n_cleared = 0
+                    for watcher in self._watchers:
+                        removed = watcher.on_delete(rid_list)
+                        if watcher is self._verify_watcher:
+                            n_cleared = sum(
+                                len(pairs) for pairs in removed.values()
+                            )
+        instrumentation.inc("discoverer.deletes")
+        instrumentation.inc("discoverer.rows_deleted", len(rid_list))
+        instrumentation.inc("verification.cleared_violations", n_cleared)
         return self._update_result(
             "delete", rid_list, 0, previous_masks, root, before
         )
@@ -518,14 +499,10 @@ class DCDiscoverer:
         n_new = len(current - previous_masks)
         n_removed = len(previous_masks) - len(current) + n_new
         instrumentation = self.instrumentation
-        if instrumentation.enabled:
-            instrumentation.inc("discoverer.dcs_added", n_new)
-            instrumentation.inc("discoverer.dcs_removed", n_removed)
+        instrumentation.inc("discoverer.dcs_added", n_new)
+        instrumentation.inc("discoverer.dcs_removed", n_removed)
         self._record_state_gauges()
         report = instrumentation.finish_operation(kind, root, before)
-        # Mirror the maintenance span tree into the flight recorder under
-        # the active trace context (no-op outside the serving layer).
-        flight.record_report_spans(report)
         logger.debug(
             "%s: |Δr|=%d, E^inc=%d, DCs +%d/-%d in %.3fs",
             kind, len(rids), n_changed, n_new, n_removed, root.duration,
@@ -546,8 +523,6 @@ class DCDiscoverer:
 
     def _record_state_gauges(self) -> None:
         instrumentation = self.instrumentation
-        if not instrumentation.enabled:
-            return
         instrumentation.set_gauge("discoverer.rows", len(self.relation))
         instrumentation.set_gauge(
             "discoverer.evidence_distinct", len(self._state.evidence)

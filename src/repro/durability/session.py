@@ -45,7 +45,7 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.crashsim import discard_unsynced_tail, drop_tmp_files
 from repro.durability.wal import WriteAheadLog
-from repro.observability import get_logger
+from repro.observability import get_logger, span
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 
@@ -243,9 +243,7 @@ class DurableSession:
                     raise SessionError(f"unknown WAL op {op!r}")
                 last_seq = record["seq"]
                 replayed += 1
-        instrumentation = discoverer.instrumentation
-        if instrumentation.enabled:
-            instrumentation.inc("durability.recovery_replayed", replayed)
+        discoverer.instrumentation.inc("durability.recovery_replayed", replayed)
         logger.debug(
             "recovered session from %s (+%d WAL records)", path, replayed
         )
@@ -447,10 +445,8 @@ class DurableSession:
 
     def _log(self, record: dict) -> None:
         record["seq"] = self._next_seq
-        instrumentation = self.discoverer.instrumentation
-        with instrumentation.activate():
-            with instrumentation.tracer.span("durability.wal_append"):
-                self._wal.append(record, epoch=self._epoch)
+        with self.discoverer.instrumentation.activate():
+            self._wal.append(record, epoch=self._epoch)
         self._next_seq += 1
         self._pending_records += 1
 
@@ -476,10 +472,8 @@ class DurableSession:
         op = record.get("op")
         if op not in ("insert", "delete"):
             raise SessionError(f"unknown WAL op {op!r}")
-        instrumentation = self.discoverer.instrumentation
-        with instrumentation.activate():
-            with instrumentation.tracer.span("durability.wal_append"):
-                self._wal.append_frame(raw, seq=seq)
+        with self.discoverer.instrumentation.activate():
+            self._wal.append_frame(raw, seq=seq)
             self._next_seq += 1
             self._pending_records += 1
             if op == "insert":
@@ -518,30 +512,27 @@ class DurableSession:
 
         checkpoint_dir = os.path.join(self.directory, CHECKPOINT_DIR)
         instrumentation = self.discoverer.instrumentation
-        with instrumentation.activate():
-            with instrumentation.tracer.span("durability.install_checkpoint"):
-                discoverer = state_from_dict(state_payload)
-                discoverer.instrumentation = instrumentation
-                if force:
-                    # A rebase rewrites history: any local checkpoint
-                    # *past* the installed seq describes the diverged
-                    # tail being discarded, and retention (which keeps
-                    # the newest seqs) would otherwise preserve it for
-                    # the next recovery to resurrect.
-                    from repro.durability.checkpoint import (
-                        parse_checkpoint_seq,
-                    )
+        with instrumentation.activate(), span("durability.install_checkpoint"):
+            discoverer = state_from_dict(state_payload)
+            discoverer.instrumentation = instrumentation
+            if force:
+                # A rebase rewrites history: any local checkpoint *past*
+                # the installed seq describes the diverged tail being
+                # discarded, and retention (which keeps the newest seqs)
+                # would otherwise preserve it for the next recovery to
+                # resurrect.
+                from repro.durability.checkpoint import parse_checkpoint_seq
 
-                    for path in list_checkpoints(checkpoint_dir):
-                        seq = parse_checkpoint_seq(os.path.basename(path))
-                        if seq is not None and seq > wal_seq:
-                            try:
-                                os.unlink(path)
-                            except OSError:  # pragma: no cover - defensive
-                                pass
-                write_checkpoint(checkpoint_dir, wal_seq, state_payload)
-                self._wal.reset()
-                apply_retention(checkpoint_dir, self.retain)
+                for path in list_checkpoints(checkpoint_dir):
+                    seq = parse_checkpoint_seq(os.path.basename(path))
+                    if seq is not None and seq > wal_seq:
+                        try:
+                            os.unlink(path)
+                        except OSError:  # pragma: no cover - defensive
+                            pass
+            write_checkpoint(checkpoint_dir, wal_seq, state_payload)
+            self._wal.reset()
+            apply_retention(checkpoint_dir, self.retain)
         self.discoverer = discoverer
         self._next_seq = wal_seq + 1
         self._checkpoint_seq = wal_seq
@@ -572,20 +563,19 @@ class DurableSession:
         checkpoint_dir = os.path.join(self.directory, CHECKPOINT_DIR)
         last_seq = self._next_seq - 1
         instrumentation = self.discoverer.instrumentation
-        with instrumentation.activate():
-            with instrumentation.tracer.span("durability.checkpoint") as span:
-                path = write_checkpoint(
-                    checkpoint_dir, last_seq, state_to_dict(self.discoverer)
-                )
-                self._checkpoint_seq = last_seq
-                self._pending_records = 0
-                self._wal.reset()
-                apply_retention(checkpoint_dir, self.retain)
-                span.attrs["wal_seq"] = last_seq
-        if instrumentation.enabled:
-            instrumentation.observe(
-                "durability.checkpoint_seconds", span.duration
+        with instrumentation.activate(), span(
+            "durability.checkpoint", {"wal_seq": last_seq}
+        ) as checkpoint_span:
+            path = write_checkpoint(
+                checkpoint_dir, last_seq, state_to_dict(self.discoverer)
             )
+            self._checkpoint_seq = last_seq
+            self._pending_records = 0
+            self._wal.reset()
+            apply_retention(checkpoint_dir, self.retain)
+        instrumentation.observe(
+            "durability.checkpoint_seconds", checkpoint_span.duration
+        )
         logger.debug("checkpoint at seq %d -> %s", last_seq, path)
         return path
 

@@ -35,7 +35,7 @@ from repro.durability.framing import (
     decode_frames,
     encode_record,
 )
-from repro.observability import flight, tracectx
+from repro.observability import span, tracectx
 from repro.observability.probe import get_probe
 
 
@@ -81,7 +81,7 @@ class WriteAheadLog:
             context = tracectx.current()
             if context is not None:
                 trace_id = context.trace_id
-        with flight.trace_span("durability.wal_append") as span:
+        with span("durability.wal_append") as appended:
             fault_point("wal.append")
             frame = encode_record(
                 canonical_json_bytes(record), trace_id, epoch=epoch
@@ -97,9 +97,7 @@ class WriteAheadLog:
                 probe.inc("durability.wal_records")
                 probe.inc("durability.wal_bytes", len(frame))
                 probe.inc("durability.fsyncs")
-            if span is not None:
-                span["attrs"]["bytes"] = len(frame)
-                span["attrs"]["seq"] = record.get("seq")
+            appended.attrs.update(bytes=len(frame), seq=record.get("seq"))
             fault_point("wal.post_fsync")
 
     def append_frame(self, frame: bytes, seq: Optional[int] = None) -> None:
@@ -117,7 +115,7 @@ class WriteAheadLog:
             raise ValueError(
                 "append_frame requires exactly one complete valid frame"
             )
-        with flight.trace_span("durability.wal_append") as span:
+        with span("durability.wal_append") as appended:
             fault_point("wal.append")
             self._handle.write(frame)
             self._handle.flush()
@@ -130,10 +128,7 @@ class WriteAheadLog:
                 probe.inc("durability.wal_records")
                 probe.inc("durability.wal_bytes", len(frame))
                 probe.inc("durability.fsyncs")
-            if span is not None:
-                span["attrs"]["bytes"] = len(frame)
-                span["attrs"]["seq"] = seq
-                span["attrs"]["replicated"] = True
+            appended.attrs.update(bytes=len(frame), seq=seq, replicated=True)
             fault_point("wal.post_fsync")
 
     def reset(self) -> None:

@@ -15,7 +15,8 @@ from typing import Optional
 from repro.evidence.evidence_set import EvidenceSet
 from repro.evidence.indexes import ColumnIndexes
 from repro.evidence.tuple_index import TupleEvidenceIndex
-from repro.observability.probe import get_probe, probe_span
+from repro.observability.probe import get_probe
+from repro.observability.tracer import span
 from repro.predicates.space import PredicateSpace
 from repro.relational.relation import Relation
 
@@ -88,13 +89,13 @@ def build_evidence_state(
     from repro.evidence.kernels import make_kernel
     from repro.evidence.kernels.base import ReconcileTask, TupleIndexRecorder
 
-    with probe_span("indexes"):
+    with span("indexes"):
         indexes = ColumnIndexes(relation, step=checkpoint_step)
     evidence_set = EvidenceSet()
     tuple_index = TupleEvidenceIndex() if maintain_tuple_index else None
 
     n_workers = parallel.resolve_workers(workers)
-    with probe_span("scan"):
+    with span("scan"):
         # Tuple t reconciles against the partners after it; the last
         # alive rid has none left and gets no task (and no index
         # entry), exactly like the historical serial scan.

@@ -42,7 +42,7 @@ from repro.evidence.kernels.base import (
     TupleIndexRecorder,
     emit_kernel_stats,
 )
-from repro.observability import flight, get_logger
+from repro.observability import add_finished_span, get_logger
 from repro.observability.probe import get_probe, install
 
 logger = get_logger(__name__)
@@ -106,8 +106,8 @@ class ShardResult:
     subtracts stale-pair corrections); only merged totals must be
     non-negative.  ``records`` holds ``(rid, owned_counter,
     partner_bits)`` tuple-index entries, ``counters`` the stripe body's
-    own ``evidence.*`` counters.  ``start`` (epoch seconds) and
-    ``duration`` are measured by the process that ran the stripe.
+    own ``evidence.*`` counters.  ``start`` (a ``perf_counter`` reading)
+    and ``duration`` are measured by the process that ran the stripe.
     """
 
     counts: dict = field(default_factory=dict)
@@ -121,12 +121,11 @@ class ShardResult:
 def _run_timed(run_stripe: Callable, items: list) -> ShardResult:
     """Run one stripe with the probe off (the parent re-emits its
     counters once for all stripes) and stamp its measured timing."""
-    start = time.time()
-    started = time.perf_counter()
+    start = time.perf_counter()
     with install(None):
         result = run_stripe(items)
     result.start = start
-    result.duration = time.perf_counter() - started
+    result.duration = time.perf_counter() - start
     return result
 
 
@@ -252,14 +251,25 @@ def run_striped(
 ) -> EvidenceSet:
     """Stripe ``items`` over ``workers``, run ``run_stripe`` on each
     stripe, and merge: the evidence is returned, tuple-index records go
-    into ``tuple_index`` (when given), counters to the probe and stripe
-    spans to the flight recorder."""
+    into ``tuple_index`` (when given), counters to the probe, and one
+    finished ``evidence.shard[i]`` span per stripe under the current
+    span."""
     results = run_stripes(stripe(items, workers), run_stripe)
     merged = merge_shard_counts(results)
     if tuple_index is not None:
         apply_tuple_records(tuple_index, results)
     report_shards(results, kernel, workers)
-    flight.record_shard_spans(results, kernel.name)
+    for index, shard in enumerate(results):
+        add_finished_span(
+            f"evidence.shard[{index}]",
+            shard.start,
+            shard.duration,
+            {
+                "pairs": shard.stats.pairs,
+                "pipelines": shard.stats.pipelines,
+                "backend": kernel.name,
+            },
+        )
     return merged
 
 

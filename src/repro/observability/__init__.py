@@ -1,17 +1,21 @@
-"""Observability subsystem: span tracing, pipeline metrics, run reports.
+"""Observability subsystem: spans, pipeline metrics, run reports.
 
 Three layers (see docs/observability.md for the naming scheme and how the
 paper's Figure 9/10/13 numbers map onto emitted metrics):
 
-- :mod:`~repro.observability.tracer` — hierarchical spans with a
-  context-manager API and a no-op :class:`NullTracer` for disabled paths;
+- :mod:`~repro.observability.tracer` — the one span model: ``with
+  span(name):`` opens a child of the thread's current span; under an
+  active :class:`TraceContext` the span also carries W3C ids and, on
+  close, writes its record to the :class:`FlightRecorder` bound to that
+  context;
 - :mod:`~repro.observability.metrics` — counters / gauges / histograms,
   exportable as JSON and Prometheus text
   (:mod:`~repro.observability.exporters`);
 - :mod:`~repro.observability.report` — per-operation
-  :class:`RunReport` objects combining both, produced by the discoverer
-  and consumed by the CLI (``--trace``, ``--metrics-out``,
-  ``repro-dc stats``) and the benchmark harness.
+  :class:`RunReport` objects combining an operation's root span with
+  its metric deltas, produced by the discoverer and consumed by the CLI
+  (``--trace``, ``--metrics-out``, ``repro-dc stats``) and the
+  benchmark harness.
 
 Deep modules reach the active instrumentation through the probe
 (:mod:`~repro.observability.probe`) so their signatures stay clean.
@@ -27,12 +31,7 @@ from repro.observability.exporters import (
 from repro.observability.flight import (
     FlightRecorder,
     build_span_tree,
-    get_recorder,
-    record_report_spans,
-    record_shard_spans,
-    set_recorder,
     split_counters,
-    trace_span,
 )
 from repro.observability.logging import configure_logging, get_logger
 from repro.observability.metrics import (
@@ -40,14 +39,15 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.observability.probe import get_probe, install, probe_span
+from repro.observability.probe import get_probe, install
 from repro.observability.report import Instrumentation, RunReport
 from repro.observability.tracectx import TraceContext
 from repro.observability.tracer import (
-    NULL_TRACER,
-    NullTracer,
     Span,
-    SpanTracer,
+    add_finished_span,
+    annotate,
+    current_span,
+    span,
 )
 
 __all__ = [
@@ -56,27 +56,22 @@ __all__ = [
     "Instrumentation",
     "LATENCY_BOUNDS_S",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "PROMETHEUS_CONTENT_TYPE",
     "RunReport",
     "Span",
-    "SpanTracer",
     "TraceContext",
+    "add_finished_span",
+    "annotate",
     "build_span_tree",
     "configure_logging",
+    "current_span",
     "escape_label_value",
     "get_logger",
     "get_probe",
-    "get_recorder",
     "install",
     "parse_prometheus",
-    "probe_span",
-    "record_report_spans",
-    "record_shard_spans",
-    "set_recorder",
     "snapshot_to_json",
     "snapshot_to_prometheus",
+    "span",
     "split_counters",
-    "trace_span",
 ]

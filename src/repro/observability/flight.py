@@ -5,16 +5,15 @@ fact, without logging every request.  The recorder keeps the last N span
 records (plain dicts, cheap to snapshot and JSON-serialize), a separate
 ring of slow spans that outlive the main ring, and a small event ring for
 discrete incidents (queue-full, crash-recovery, …).  ``GET /debug/trace``
-and the ``doctor`` bundle read it; :func:`trace_span` writes it.
+and the ``doctor`` bundle read it.
 
-Recording follows the probe idiom (:mod:`repro.observability.probe`): a
-module-global recorder installed by the service, and call sites that take
-a ``recorder is None`` fast path — plus a second fast path when the
-thread has no active :mod:`trace context <repro.observability.tracectx>`,
-so engine code running outside any request (CLI, tests, benchmarks) pays
-two attribute reads and nothing else.  That is what keeps tracing-on and
-tracing-off work counters byte-identical: tracing only *reads* the
-engine, never changes what it executes.
+Spans (:mod:`repro.observability.tracer`) write it: a closed span hands
+its record to the recorder bound to the
+:mod:`trace context <repro.observability.tracectx>` it ran under, so each
+service owns its ring and engine code running outside any request (CLI,
+tests, benchmarks) records nothing.  Tracing only *reads* the engine,
+never changes what it executes, which keeps tracing-on and tracing-off
+work counters byte-identical.
 
 Span records are flat dicts linked by ids::
 
@@ -33,11 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
-
-from repro.observability import tracectx
-from repro.observability.tracectx import TraceContext
 
 
 class FlightRecorder:
@@ -144,119 +139,6 @@ def build_span_tree(records: Sequence[dict]) -> List[dict]:
         else:
             roots.append(copy)
     return roots
-
-
-# -- module-global recorder ----------------------------------------------------
-
-_RECORDER: Optional[FlightRecorder] = None
-
-
-def get_recorder() -> Optional[FlightRecorder]:
-    """The active flight recorder, or None when tracing is off."""
-    return _RECORDER
-
-
-def set_recorder(recorder: Optional[FlightRecorder]) -> Optional[FlightRecorder]:
-    """Install (or clear, with None) the process-wide recorder.
-
-    Returns the previous recorder so callers can restore it on shutdown.
-    """
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = recorder
-    return previous
-
-
-@contextmanager
-def trace_span(name: str, attrs: Optional[dict] = None,
-               links: Optional[Sequence[str]] = None):
-    """Record one span under the thread's current trace context.
-
-    No-op (yields None) when no recorder is installed *or* the thread has
-    no active context — the double fast path that keeps untraced runs
-    untouched.  Yields the mutable span record so the body can attach
-    attributes discovered mid-flight; nested ``trace_span`` calls parent
-    under this span via a derived thread-local context.
-    """
-    recorder = _RECORDER
-    context = tracectx.current()
-    if recorder is None or context is None:
-        yield None
-        return
-    record = {
-        "trace_id": context.trace_id,
-        "span_id": tracectx.new_span_id(),
-        "parent_id": context.span_id,
-        "name": name,
-        "start": time.time(),
-        "duration": 0.0,
-        "attrs": dict(attrs or {}),
-    }
-    if links:
-        record["links"] = list(links)
-    child = TraceContext(context.trace_id, record["span_id"], context.baggage)
-    started = time.perf_counter()
-    with tracectx.activate(child):
-        try:
-            yield record
-        finally:
-            record["duration"] = time.perf_counter() - started
-            recorder.record_span(record)
-
-
-def record_report_spans(report) -> None:
-    """Mirror a :class:`~repro.observability.report.RunReport` span tree
-    into the recorder under the current trace context.
-
-    The discoverer's tracer keeps ``perf_counter`` times; anchor them to
-    the epoch by the offset measured now (both clocks advance at the same
-    rate, so relative positions within the tree are exact).
-    """
-    recorder = _RECORDER
-    context = tracectx.current()
-    if recorder is None or context is None or report is None:
-        return
-    offset = time.time() - time.perf_counter()
-
-    def emit(span, parent_id: str) -> None:
-        record = {
-            "trace_id": context.trace_id,
-            "span_id": tracectx.new_span_id(),
-            "parent_id": parent_id,
-            "name": span.name,
-            "start": span.start + offset,
-            "duration": span.duration,
-            "attrs": dict(span.attrs),
-        }
-        recorder.record_span(record)
-        for child in span.children:
-            emit(child, record["span_id"])
-
-    emit(report.root, context.span_id)
-
-
-def record_shard_spans(results, backend: str) -> None:
-    """Record one span per pooled evidence stripe under the current
-    context, at the epoch start and duration the stripe's own process
-    measured."""
-    recorder = _RECORDER
-    context = tracectx.current()
-    if recorder is None or context is None:
-        return
-    for index, shard in enumerate(results):
-        recorder.record_span({
-            "trace_id": context.trace_id,
-            "span_id": tracectx.new_span_id(),
-            "parent_id": context.span_id,
-            "name": f"evidence.shard[{index}]",
-            "start": shard.start,
-            "duration": shard.duration,
-            "attrs": {
-                "pairs": shard.stats.pairs,
-                "pipelines": shard.stats.pipelines,
-                "backend": backend,
-            },
-        })
 
 
 def split_counters(

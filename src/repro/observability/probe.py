@@ -1,6 +1,6 @@
 """The pipeline probe — how deep modules reach the active instrumentation.
 
-Threading a tracer/registry through every signature of the evidence and
+Threading a metrics registry through every signature of the evidence and
 enumeration layers would contaminate APIs whose whole value is their
 algorithmic transparency.  Instead the discoverer *installs* its
 :class:`~repro.observability.Instrumentation` here for the duration of one
@@ -14,14 +14,11 @@ The contract for hot code::
     if probe is not None:
         probe.inc("evidence.pairs_compared", n)   # aggregated, not per pair
 
-and for optional sub-spans::
-
-    with probe_span("evidence.scan"):
-        ...
-
 Counters must be incremented with *aggregated* quantities (per context
 pipeline, per batch) — never inside per-pair loops — so the enabled
-overhead stays in the low single-digit percent range.
+overhead stays in the low single-digit percent range.  Sub-spans need no
+probe: :class:`~repro.observability.tracer.span` nests under whatever
+span is open on the thread.
 
 The slot is **thread-local**: an installation and every ``get_probe``
 that observes it share one synchronous call stack, so each thread's
@@ -35,23 +32,12 @@ from __future__ import annotations
 
 import threading
 
-from repro.observability.tracer import _NULL_SPAN_CONTEXT
-
 _SLOT = threading.local()
 
 
 def get_probe():
     """The installed instrumentation, or ``None`` when accounting is off."""
     return getattr(_SLOT, "active", None)
-
-
-def probe_span(name: str):
-    """A span context on the active instrumentation's tracer (no-op when
-    no probe is installed)."""
-    active = getattr(_SLOT, "active", None)
-    if active is None:
-        return _NULL_SPAN_CONTEXT
-    return active.tracer.span(name)
 
 
 class _ProbeInstallation:

@@ -5,20 +5,17 @@ A :class:`RunReport` packages everything one pipeline operation (``fit``,
 per-call counter deltas plus gauge values.  It is the structured
 replacement for the discoverer's historical ``timings`` dicts, which are
 now *derived* from the report's first span level
-(:meth:`RunReport.phase_timings`).
+(:meth:`RunReport.phase_timings`).  The root is the operation's own
+:class:`~repro.observability.tracer.Span`; the report is the only thing
+that holds it once the call returns.
 
-:class:`Instrumentation` bundles the tracer and metrics registry one
-discoverer owns, and knows how to install itself as the pipeline probe
-(see :mod:`repro.observability.probe`).  Disabling it keeps the top-level
-phase spans (they back the compatibility ``timings`` view and cost a few
-microseconds per call) but skips all deep accounting: no probe is
-installed, so the evidence/enumeration/bitmap layers take their
-``probe is None`` fast paths.
+:class:`Instrumentation` is the metrics registry one discoverer owns,
+and knows how to install itself as the pipeline probe (see
+:mod:`repro.observability.probe`).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, Optional
 
 from repro.observability.exporters import (
@@ -27,7 +24,7 @@ from repro.observability.exporters import (
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.probe import install
-from repro.observability.tracer import Span, SpanTracer
+from repro.observability.tracer import Span
 
 
 class RunReport:
@@ -99,26 +96,16 @@ class RunReport:
 
 
 class Instrumentation:
-    """Tracer + metrics registry owned by one discoverer.
+    """The metrics registry owned by one discoverer."""
 
-    :param enabled: when False, deep accounting (probe counters and
-        sub-spans inside the evidence/enumeration layers) is skipped;
-        the discoverer's own top-level phase spans are always recorded
-        because the compatibility ``timings`` views are derived from them.
-    """
+    __slots__ = ("metrics",)
 
-    __slots__ = ("enabled", "tracer", "metrics")
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.tracer = SpanTracer()
+    def __init__(self):
         self.metrics = MetricsRegistry()
 
     def activate(self):
         """Install this instrumentation as the pipeline probe for a
-        ``with`` block (no-op context when disabled)."""
-        if not self.enabled:
-            return nullcontext()
+        ``with`` block."""
         return install(self)
 
     def inc(self, name: str, amount: int = 1) -> None:
@@ -148,10 +135,3 @@ class Instrumentation:
             },
             cumulative=self.metrics.snapshot(),
         )
-
-
-#: Shared disabled instrumentation — per-discoverer state lives in spans,
-#: so callers that opt out still get phase timings from their own calls.
-def disabled_instrumentation() -> Instrumentation:
-    """A fresh Instrumentation with deep accounting off."""
-    return Instrumentation(enabled=False)

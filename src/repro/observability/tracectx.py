@@ -14,13 +14,15 @@ join our traces; the in-process propagation is a thread-local *current
 context* that deep modules read without signature changes — the same
 shape as the metrics probe (:mod:`repro.observability.probe`):
 
-    ctx = TraceContext.mint()
+    ctx = TraceContext.mint(recorder=flight_recorder)
     with activate(ctx):
         ...            # current() returns ctx on this thread
 
-Span *recording* lives in :mod:`repro.observability.flight`; this module
-only defines identity and propagation, so durability and evidence code
-can depend on it without pulling in the recorder.
+A context may be bound to the
+:class:`~repro.observability.flight.FlightRecorder` that spans opened
+under it (:mod:`repro.observability.tracer`) write to; derived contexts
+keep the binding and the wire format never carries it, so two services
+in one process each record only their own requests.
 """
 
 from __future__ import annotations
@@ -56,26 +58,34 @@ class TraceContext:
     mutating, so a context held by one layer never changes under it.
     """
 
-    __slots__ = ("trace_id", "span_id", "baggage")
+    __slots__ = ("trace_id", "span_id", "baggage", "recorder")
 
     def __init__(
         self,
         trace_id: str,
         span_id: Optional[str] = None,
         baggage: Optional[Dict[str, str]] = None,
+        recorder=None,
     ):
         self.trace_id = trace_id
         self.span_id = span_id or new_span_id()
         self.baggage: Dict[str, str] = dict(baggage or {})
+        #: The flight recorder spans opened under this context write to.
+        self.recorder = recorder
 
     @classmethod
-    def mint(cls, baggage: Optional[Dict[str, str]] = None) -> "TraceContext":
+    def mint(
+        cls, baggage: Optional[Dict[str, str]] = None, recorder=None
+    ) -> "TraceContext":
         """A brand-new root context (fresh trace id and span id)."""
-        return cls(new_trace_id(), new_span_id(), baggage)
+        return cls(new_trace_id(), new_span_id(), baggage, recorder)
 
     def child(self) -> "TraceContext":
-        """Same trace, fresh span id (the parent is ``self.span_id``)."""
-        return TraceContext(self.trace_id, new_span_id(), self.baggage)
+        """Same trace and recorder, fresh span id (the parent is
+        ``self.span_id``)."""
+        return TraceContext(
+            self.trace_id, new_span_id(), self.baggage, self.recorder
+        )
 
     # -- wire format ------------------------------------------------------
 
@@ -84,14 +94,14 @@ class TraceContext:
         return f"00-{self.trace_id}-{self.span_id}-01"
 
     @classmethod
-    def from_traceparent(cls, header) -> Optional["TraceContext"]:
+    def from_traceparent(cls, header, recorder=None) -> Optional["TraceContext"]:
         """Parse a ``traceparent`` header; None when absent/malformed."""
         if not header:
             return None
         match = _TRACEPARENT.match(header.strip().lower())
         if match is None:
             return None
-        return cls(match.group("trace"), match.group("span"))
+        return cls(match.group("trace"), match.group("span"), recorder=recorder)
 
     def to_dict(self) -> dict:
         payload = {"trace_id": self.trace_id, "span_id": self.span_id}
@@ -105,12 +115,24 @@ class TraceContext:
 
 # -- thread-local propagation -------------------------------------------------
 
-_LOCAL = threading.local()
+class _Local(threading.local):
+    context: Optional[TraceContext] = None
+
+
+_LOCAL = _Local()
 
 
 def current() -> Optional[TraceContext]:
     """The thread's active trace context, or None outside any request."""
-    return getattr(_LOCAL, "context", None)
+    return _LOCAL.context
+
+
+def swap(context: Optional[TraceContext]) -> Optional[TraceContext]:
+    """Make ``context`` the thread's active context; returns the one it
+    replaced (the primitive under :class:`activate` and open spans)."""
+    previous = _LOCAL.context
+    _LOCAL.context = context
+    return previous
 
 
 class activate:
@@ -128,9 +150,8 @@ class activate:
         self._previous = None
 
     def __enter__(self) -> Optional[TraceContext]:
-        self._previous = current()
-        _LOCAL.context = self._context
+        self._previous = swap(self._context)
         return self._context
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _LOCAL.context = self._previous
+        swap(self._previous)

@@ -308,10 +308,6 @@ class ServiceClient:
         """Prometheus exposition text of the live registry."""
         return self._request("GET", "/metrics")["text"]
 
-    def log(self, since: int = -1) -> dict:
-        """Commit history with seq > ``since`` (oracle replay feed)."""
-        return self._request("GET", f"/log?since={int(since)}")
-
     def debug_trace(
         self,
         trace_id: Optional[str] = None,

@@ -48,9 +48,10 @@ from repro.observability import (
     get_logger,
     snapshot_to_json,
     snapshot_to_prometheus,
+    span,
+    split_counters,
+    tracectx,
 )
-from repro.observability import flight, tracectx
-from repro.observability.flight import set_recorder, split_counters, trace_span
 from repro.predicates.parser import parse_dc
 from repro.service import protocol
 from repro.service.coalescer import (
@@ -110,12 +111,9 @@ class DCService:
         self._drained = threading.Event()  # writer finished its drain
         self._shutdown_requested = threading.Event()
         self._failure: Optional[BaseException] = None
-        #: Applied operations in commit order (the serial oracle of the
-        #: concurrency tests, and the seed of any future replication).
-        self.commit_log: list = []
-        #: Seq of every snapshot ever published (reads must only ever
-        #: observe members of this list).
-        self.published_seqs: list = []
+        #: Session operations (merged deletes, merged inserts) the writer
+        #: has applied.
+        self.commits = 0
         session.export_gauges()
         #: Signaled on every snapshot publish; min_seq-bounded reads and
         #: replication long-polls wait on it instead of busy-spinning.
@@ -137,12 +135,12 @@ class DCService:
         self._feed = None
         self._feed_lock = threading.Lock()
         self.started_at = time.time()
-        #: Ring buffer of recent spans, served at GET /debug/trace.
+        #: Ring buffer of recent spans, served at GET /debug/trace; every
+        #: trace context this service activates is bound to it.
         self.flight = FlightRecorder(
             max_spans=self.config.flight_recorder_spans,
             slow_threshold_s=self.config.slow_trace_threshold_s,
         )
-        self._previous_recorder: Optional[FlightRecorder] = None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -153,7 +151,6 @@ class DCService:
         logger.debug("service listening on %s:%d", self.host, self.port)
 
     def _start_http(self) -> None:
-        self._previous_recorder = set_recorder(self.flight)
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer(
             (self.config.host, self.config.port), handler
@@ -238,11 +235,7 @@ class DCService:
                 self.write_metrics_snapshot(self.config.metrics_out)
             except OSError as exc:
                 logger.error("final metrics snapshot failed: %s", exc)
-        if flight.get_recorder() is self.flight:
-            set_recorder(self._previous_recorder)
-        logger.debug(
-            "service stopped after %d commits", len(self.commit_log)
-        )
+        logger.debug("service stopped after %d commits", self.commits)
 
     def write_metrics_snapshot(self, path) -> None:
         """Write the live registry to ``path`` as deterministic JSON."""
@@ -375,7 +368,7 @@ class DCService:
             )
         if not batch.n_admitted:
             return
-        cycle_context = TraceContext.mint()
+        cycle_context = TraceContext.mint(recorder=self.flight)
         links = sorted({
             request.trace.trace_id
             for request in requests
@@ -387,7 +380,7 @@ class DCService:
                 name: self.instrumentation.metrics.counter(name)
                 for name in _WORK_COUNTERS
             }
-        with tracectx.activate(cycle_context), trace_span(
+        with tracectx.activate(cycle_context), span(
             "service.cycle",
             attrs={"requests": len(requests), "admitted": batch.n_admitted},
             links=links,
@@ -396,24 +389,10 @@ class DCService:
                 new_rids: list = []
                 if batch.delete_rids:
                     self.session.delete(batch.delete_rids)
-                    self.commit_log.append(
-                        {
-                            "seq": self.session.last_applied_seq,
-                            "op": OP_DELETE,
-                            "rids": list(batch.delete_rids),
-                        }
-                    )
+                    self.commits += 1
                 if batch.insert_rows:
-                    result = self.session.insert(batch.insert_rows)
-                    new_rids = result.rids
-                    self.commit_log.append(
-                        {
-                            "seq": self.session.last_applied_seq,
-                            "op": OP_INSERT,
-                            "rows": [list(row) for row in batch.insert_rows],
-                            "rids": list(new_rids),
-                        }
-                    )
+                    new_rids = self.session.insert(batch.insert_rows).rids
+                    self.commits += 1
             except SessionFencedError as exc:
                 # Fenced between admission and apply: the batch fails
                 # with the hard 409 every zombie write gets, but the
@@ -454,9 +433,8 @@ class DCService:
                     - work_before[name]
                     for name in _WORK_COUNTERS
                 }
-            if cycle_span is not None:
-                cycle_span["attrs"]["seq"] = seq
-                cycle_span["attrs"]["work"] = dict(work_totals)
+            cycle_span.attrs["seq"] = seq
+            cycle_span.attrs["work"] = dict(work_totals)
             self._publish_current()
         self._metric_observe(
             "service.cycle_seconds", time.perf_counter() - started
@@ -515,7 +493,7 @@ class DCService:
                 self._cover_source = discoverer
                 previous = None
             try:
-                with trace_span("service.publish"):
+                with span("service.publish"):
                     snapshot = build_snapshot(
                         self.session, previous, self._cover
                     )
@@ -530,7 +508,6 @@ class DCService:
     def _publish(self, snapshot: Snapshot) -> None:
         """Publish a snapshot and wake everything waiting for its seq."""
         self._snapshot = snapshot
-        self.published_seqs.append(snapshot.seq)
         with self._publish_cond:
             self._publish_cond.notify_all()
 
@@ -716,7 +693,7 @@ class DCService:
                 "queue_depth": self._queue.qsize(),
                 "queue_capacity": self.config.queue_depth,
                 "batch_window_ms": self.config.batch_window_ms,
-                "commits": len(self.commit_log),
+                "commits": self.commits,
                 "epoch": self.session.epoch,
                 "fenced": self.session.is_fenced,
                 "upstream_url": self.upstream_url,
@@ -777,17 +754,6 @@ class DCService:
             limit = self.config.verification_limit
         self._metric_inc("service.verifies_total")
         return snapshot.verify_payload(limit=limit)
-
-    def log_payload(self, since: int) -> dict:
-        """Commit history with seq > ``since`` (bounded by construction)."""
-        entries = [
-            entry for entry in list(self.commit_log) if entry["seq"] > since
-        ]
-        return {
-            "since": since,
-            "last_seq": self.session.last_applied_seq,
-            "entries": entries,
-        }
 
     def debug_trace_payload(self, query: dict) -> dict:
         """Answer ``GET /debug/trace`` from the flight recorder.
@@ -916,12 +882,12 @@ def _make_handler(service: DCService):
             # Adopt the caller's trace or mint one: every response
             # carries a trace id either way.
             self._trace = TraceContext.from_traceparent(
-                self.headers.get("traceparent")
-            ) or TraceContext.mint()
+                self.headers.get("traceparent"), recorder=service.flight
+            ) or TraceContext.mint(recorder=service.flight)
             known = (method, url.path) in _ROUTES
             endpoint = url.path if known else "unknown"
             try:
-                with tracectx.activate(self._trace), trace_span(
+                with tracectx.activate(self._trace), span(
                     f"http.{method} {url.path}"
                 ):
                     handler = _ROUTES.get((method, url.path))
@@ -1079,13 +1045,6 @@ def _make_handler(service: DCService):
         def _get_debug_trace(self, query):
             self._respond(200, service.debug_trace_payload(query))
 
-        def _get_log(self, query):
-            try:
-                since = int(query.get("since", ["-1"])[0])
-            except ValueError:
-                raise protocol.ProtocolError("since must be an int") from None
-            self._respond(200, service.log_payload(since))
-
         def _post_write(self, op: str):
             body = self._read_body()
             field = "rows" if op == OP_INSERT else "rids"
@@ -1178,7 +1137,6 @@ def _make_handler(service: DCService):
         ("GET", "/verify"): Handler._get_verify,
         ("GET", "/metrics"): Handler._get_metrics,
         ("GET", "/debug/trace"): Handler._get_debug_trace,
-        ("GET", "/log"): Handler._get_log,
         ("GET", "/replication/frames"): Handler._get_replication_frames,
         ("GET", "/replication/checkpoint"): (
             Handler._get_replication_checkpoint

@@ -303,9 +303,8 @@ def _diff_into_cover(discoverer, previous, cover):
         return old_masks, old_canonical
     delta = cover.apply(added, removed)
     instrumentation = discoverer.instrumentation
-    if instrumentation.enabled:
-        instrumentation.inc("snapshot.sigma_delta", len(added) + len(removed))
-        instrumentation.inc("snapshot.cover_forms_examined", delta.examined)
+    instrumentation.inc("snapshot.sigma_delta", len(added) + len(removed))
+    instrumentation.inc("snapshot.cover_forms_examined", delta.examined)
     dc_masks = _merged(old_masks, removed, added)
     if not delta.entered and not delta.left:
         return dc_masks, old_canonical

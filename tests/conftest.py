@@ -70,3 +70,33 @@ def random_rows(rng: random.Random, n_rows: int, int_range: int = 4):
         )
         for _ in range(n_rows)
     ]
+
+
+def replay_committed(oracle, writes) -> None:
+    """Apply served writes to ``oracle`` serially, as the writer did.
+
+    ``writes`` holds one ``(op, sent, outcome)`` triple per committed
+    request: the rows an insert sent or the rids a delete sent, and the
+    outcome the client received.  The writer merges one cycle's requests
+    into one delete, then one insert, so the replay groups the writes by
+    ``cycle_trace_id``, runs the cycles in ``seq`` order, and sends each
+    cycle's insert rows in rid order (asserting the same rids again).
+    """
+    cycles = {}
+    for op, sent, outcome in writes:
+        cycle = cycles.setdefault(
+            outcome["cycle_trace_id"],
+            {"seq": outcome["seq"], "deletes": [], "inserts": []},
+        )
+        if op == "insert":
+            cycle["inserts"].append((list(outcome["rids"]), list(sent)))
+        else:
+            cycle["deletes"].extend(outcome["rids"])
+    for cycle in sorted(cycles.values(), key=lambda entry: entry["seq"]):
+        if cycle["deletes"]:
+            oracle.delete(cycle["deletes"])
+        if cycle["inserts"]:
+            inserts = sorted(cycle["inserts"], key=lambda pair: pair[0])
+            rows = [tuple(row) for _, sent in inserts for row in sent]
+            rids = [rid for got, _ in inserts for rid in got]
+            assert oracle.insert(rows).rids == rids

@@ -6,6 +6,7 @@ against an uninterrupted oracle) lives in tests/test_crash_matrix.py;
 this module pins the building blocks it stands on.
 """
 
+import gc
 import json
 import os
 import random
@@ -40,6 +41,7 @@ from repro.durability.framing import (
     encode_record,
     iter_records,
 )
+from repro.observability import FlightRecorder, Span, TraceContext, tracectx
 from tests.conftest import random_rows
 
 
@@ -694,12 +696,33 @@ class TestDurableSession:
         session = DurableSession.create(
             make_fitted(), tmp_path / "s", checkpoint_every=100
         )
-        session.checkpoint()
+        recorder = FlightRecorder()
+        with tracectx.activate(TraceContext.mint(recorder=recorder)):
+            session.checkpoint()
         instrumentation = session.discoverer.instrumentation
-        names = [root.name for root in instrumentation.tracer.roots]
+        names = [record["name"] for record in recorder.spans()]
         assert "durability.checkpoint" in names
         snapshot = instrumentation.metrics.snapshot()
         assert "durability.checkpoint_seconds" in snapshot.get("histograms", {})
         counters = instrumentation.metrics.counters
         assert counters.get("durability.checkpoints", 0) >= 1
+        session.close()
+
+    def test_writes_leave_no_live_spans(self, tmp_path):
+        """Nothing holds a write's spans (WAL append, maintenance,
+        checkpoint) once the write has returned."""
+        rng = random.Random(21)
+        session = DurableSession.create(
+            make_fitted(seed=21), tmp_path / "s", checkpoint_every=8
+        )
+
+        def live_spans() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if isinstance(obj, Span))
+
+        session.insert(random_rows(rng, 1))
+        after_first = live_spans()
+        for _ in range(49):
+            session.insert(random_rows(rng, 1))
+        assert live_spans() <= after_first
         session.close()

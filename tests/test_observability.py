@@ -11,16 +11,16 @@ from repro.core.discoverer import DCDiscoverer
 from repro.observability import (
     Instrumentation,
     MetricsRegistry,
-    NullTracer,
-    SpanTracer,
+    annotate,
     configure_logging,
+    current_span,
     get_logger,
     get_probe,
     install,
     parse_prometheus,
-    probe_span,
     snapshot_to_json,
     snapshot_to_prometheus,
+    span,
 )
 from repro.bitmaps.roaring import RoaringBitmap
 from repro.relational.loader import relation_from_rows
@@ -42,84 +42,59 @@ def fitted():
     return discoverer
 
 
-# -- span tracer ---------------------------------------------------------------
+# -- spans ---------------------------------------------------------------------
 
 
 class TestSpanTracer:
+    """The thread-local span API (:func:`repro.observability.span`)."""
+
     def test_spans_nest(self):
-        tracer = SpanTracer()
-        with tracer.span("outer"):
-            with tracer.span("inner_a"):
+        with span("outer") as outer:
+            with span("inner_a"):
                 pass
-            with tracer.span("inner_b"):
-                with tracer.span("leaf"):
+            with span("inner_b"):
+                with span("leaf"):
                     pass
-        assert len(tracer.roots) == 1
-        outer = tracer.roots[0]
+        assert current_span() is None
         assert [child.name for child in outer.children] == ["inner_a", "inner_b"]
         assert outer.child("inner_b").children[0].name == "leaf"
         assert outer.child("missing") is None
 
     def test_children_sum_at_most_parent(self):
-        tracer = SpanTracer()
-        with tracer.span("parent"):
+        with span("parent") as parent:
             for _ in range(3):
-                with tracer.span("child"):
+                with span("child"):
                     time.sleep(0.001)
-        parent = tracer.roots[0]
         child_total = sum(child.duration for child in parent.children)
         assert child_total <= parent.duration
         assert parent.self_time >= 0
         assert parent.duration > 0
 
     def test_current_and_annotate(self):
-        tracer = SpanTracer()
-        assert tracer.current() is None
-        with tracer.span("a") as span_a:
-            assert tracer.current() is span_a
-            tracer.annotate("rows", 7)
-        assert tracer.current() is None
-        tracer.annotate("ignored", 1)  # no open span: no-op
-        assert tracer.roots[0].attrs == {"rows": 7}
+        assert current_span() is None
+        with span("a") as span_a:
+            assert current_span() is span_a
+            annotate("rows", 7)
+        assert current_span() is None
+        annotate("ignored", 1)  # no open span: no-op
+        assert span_a.attrs == {"rows": 7}
 
     def test_to_dict_and_format(self):
-        tracer = SpanTracer()
-        with tracer.span("op"):
-            with tracer.span("step"):
+        with span("op") as op:
+            with span("step"):
                 pass
-        payload = tracer.roots[0].to_dict()
+        payload = op.to_dict()
         assert payload["name"] == "op"
         assert payload["children"][0]["name"] == "step"
-        text = tracer.format_tree()
+        text = op.format_tree()
         assert "op" in text and "step" in text and "ms" in text
 
     def test_exception_still_closes_span(self):
-        tracer = SpanTracer()
         with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
+            with span("boom") as boom:
                 raise RuntimeError("x")
-        assert tracer.current() is None
-        assert tracer.roots[0].duration > 0
-
-    def test_null_tracer_records_nothing(self):
-        tracer = NullTracer()
-        with tracer.span("anything") as span:
-            assert span is None
-            tracer.annotate("k", 1)
-        assert tracer.roots == []
-        assert tracer.current() is None
-        assert tracer.format_tree() == ""
-
-    def test_null_tracer_negligible_overhead(self):
-        null_tracer = NullTracer()
-        started = time.perf_counter()
-        for _ in range(100_000):
-            with null_tracer.span("hot"):
-                pass
-        elapsed = time.perf_counter() - started
-        # ~10 µs per span would already be pathological for a no-op.
-        assert elapsed < 2.0
-        assert null_tracer.roots == []
+        assert current_span() is None
+        assert boom.duration > 0
 
 
 # -- metrics registry ----------------------------------------------------------
@@ -214,20 +189,22 @@ class TestProbe:
         assert get_probe() is None
 
     def test_probe_span_without_probe_is_noop(self):
-        with probe_span("nothing") as span:
-            assert span is None
+        """Outside any probe and trace context a span is bare timing: no
+        ids, nothing recorded, nothing left open."""
+        with span("nothing") as opened:
+            assert get_probe() is None
+        assert opened.trace_id is None and opened.span_id is None
+        assert current_span() is None
 
     def test_probe_span_with_probe_records(self):
+        """A span a deep module opens under the caller's installed probe
+        lands in the caller's span tree."""
         instrumentation = Instrumentation()
-        with install(instrumentation):
-            with probe_span("recorded"):
-                pass
-        assert instrumentation.tracer.roots[0].name == "recorded"
-
-    def test_disabled_instrumentation_installs_no_probe(self):
-        instrumentation = Instrumentation(enabled=False)
-        with instrumentation.activate():
-            assert get_probe() is None
+        with span("operation") as root:
+            with install(instrumentation):
+                with span("recorded"):
+                    pass
+        assert root.children[0].name == "recorded"
 
 
 # -- exporters -----------------------------------------------------------------
@@ -353,32 +330,21 @@ class TestPipelineInstrumentation:
         assert delete_result.kind == "delete"
         assert insert_result.kind == "insert"
 
-    def test_disabled_instrumentation_keeps_timings(self):
-        relation = relation_from_rows(["A", "B"], [(1, "x"), (2, "y"), (3, "x")])
-        discoverer = DCDiscoverer(
-            relation, instrumentation=Instrumentation(enabled=False)
-        )
-        result = discoverer.fit()
-        assert set(result.timings) == {"space", "evidence", "enumeration"}
-        update = discoverer.insert([(4, "z")])
-        assert set(update.timings) == {"evidence", "enumeration"}
-        # Deep accounting off: no probe counters were recorded.
-        assert update.report.metrics["counters"] == {}
-        # And no deep sub-spans below the evidence phase's own steps:
-        evidence = result.report.root.child("evidence")
-        assert evidence.children == []
-
     def test_enabled_overhead_is_small(self):
+        from repro.evidence.builder import build_evidence_state
+        from repro.predicates.space import build_predicate_space
+
         rows = [(i, f"n{i % 7}", 2000 + i % 9, i % 5) for i in range(60)]
+        relation = relation_from_rows(["Id", "Name", "Hired", "Level"], rows)
+        space = build_predicate_space(relation)
 
         def run(enabled):
-            relation = relation_from_rows(["Id", "Name", "Hired", "Level"], rows)
-            discoverer = DCDiscoverer(
-                relation, instrumentation=Instrumentation(enabled=enabled)
-            )
             started = time.perf_counter()
-            discoverer.fit()
-            discoverer.insert([(100 + j, "zz", 2050, 7) for j in range(5)])
+            if enabled:
+                with install(Instrumentation()):
+                    build_evidence_state(relation, space)
+            else:
+                build_evidence_state(relation, space)
             return time.perf_counter() - started
 
         enabled_time = min(run(True) for _ in range(3))

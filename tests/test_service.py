@@ -43,12 +43,30 @@ from repro.service import (
     protocol,
 )
 from repro.workloads import staff_relation
-from tests.conftest import random_rows
+from tests.conftest import random_rows, replay_committed
 
 
 def make_session(tmp_path, relation=None, name="session", **kwargs):
     discoverer = DCDiscoverer(relation if relation is not None else staff_relation())
     return DurableSession.create(discoverer, tmp_path / name, **kwargs)
+
+
+def record_ops(session) -> list:
+    """Wrap ``session``'s insert and delete; the returned list collects
+    ``(op, argument)`` per call the writer makes."""
+    applied = []
+    insert, delete = session.insert, session.delete
+
+    def recording_insert(rows):
+        applied.append(("insert", rows))
+        return insert(rows)
+
+    def recording_delete(rids):
+        applied.append(("delete", rids))
+        return delete(rids)
+
+    session.insert, session.delete = recording_insert, recording_delete
+    return applied
 
 
 @pytest.fixture
@@ -263,15 +281,6 @@ class TestEndpoints:
         assert "repro_durability_next_seq" in text
         assert "repro_discoverer_rows" in text
 
-    def test_commit_log_endpoint(self, client):
-        client.insert([[5, "Ema", 2002, 3, 1]])
-        client.delete([4])
-        log = client.log()
-        assert [entry["op"] for entry in log["entries"]] == ["insert", "delete"]
-        assert client.log(since=log["entries"][0]["seq"])["entries"][0]["op"] == (
-            "delete"
-        )
-
 
 # -- concurrency correctness ------------------------------------------------
 
@@ -334,9 +343,18 @@ class TestConcurrency:
         service = DCService(
             session, ServiceConfig(port=0, batch_window_ms=10.0)
         )
+        published = [service.snapshot.seq]
+        publish = service._publish
+
+        def recording_publish(snapshot):
+            published.append(snapshot.seq)
+            publish(snapshot)
+
+        service._publish = recording_publish
         service.start()
         client = ServiceClient(base_url=service.url, timeout=15.0)
         observed_seqs = []
+        writes = []
         errors = []
         seq_lock = threading.Lock()
 
@@ -347,17 +365,20 @@ class TestConcurrency:
                 for step in range(self.OPS_PER_THREAD):
                     choice = thread_rng.random()
                     if choice < 0.45 or not own_rids:
-                        outcome = client.insert(
-                            random_rows(thread_rng, thread_rng.randint(1, 2))
-                        )
+                        rows = random_rows(thread_rng, thread_rng.randint(1, 2))
+                        outcome = client.insert(rows)
                         assert outcome["status"] == "committed"
                         own_rids.extend(outcome["rids"])
                         recorded = outcome["seq"]
+                        with seq_lock:
+                            writes.append(("insert", rows, outcome))
                     elif choice < 0.65:
                         rid = own_rids.pop(thread_rng.randrange(len(own_rids)))
                         outcome = client.delete([rid])
                         assert outcome["status"] == "committed"
                         recorded = outcome["seq"]
+                        with seq_lock:
+                            writes.append(("delete", [rid], outcome))
                     elif choice < 0.85:
                         recorded = client.check(random_rows(thread_rng, 1)[0])[
                             "seq"
@@ -382,29 +403,23 @@ class TestConcurrency:
 
         # Every read and write observed a seq the writer actually
         # published — no torn or speculative state ever served.
-        published = set(service.published_seqs)
-        assert set(observed_seqs) <= published
+        assert set(observed_seqs) <= set(published)
 
         # Coalescing happened: cycles ≤ commits ≤ requests, and the WAL
         # saw one record per merged op, not one per client request.
         n_write_requests = service.instrumentation.metrics.counter(
             "service.coalesced_requests_total"
         )
-        assert len(service.commit_log) <= n_write_requests
+        assert service.commits <= n_write_requests
 
-        # Replaying the commit log serially lands on the byte-identical
-        # durable state.
+        # Replaying the committed writes serially, cycle by cycle, lands
+        # on the byte-identical durable state.
         oracle = make_session(
             tmp_path,
             relation=relation_from_rows(["A", "B", "C"], base_rows),
             name="oracle",
         )
-        for entry in service.commit_log:
-            if entry["op"] == "insert":
-                result = oracle.insert(entry["rows"])
-                assert result.rids == entry["rids"]
-            else:
-                oracle.delete(entry["rids"])
+        replay_committed(oracle, writes)
         assert state_to_bytes(service.session.discoverer) == state_to_bytes(
             oracle.discoverer
         )
@@ -412,6 +427,7 @@ class TestConcurrency:
 
     def test_concurrent_burst_coalesces(self, tmp_path):
         session = make_session(tmp_path)
+        applied = record_ops(session)
         service = DCService(
             session,
             ServiceConfig(port=0, batch_window_ms=150.0, queue_depth=64),
@@ -436,8 +452,8 @@ class TestConcurrency:
             "service.batch.size"
         ]
         assert histogram.mean > 1.0  # the burst merged into few cycles
-        # One insert op per cycle in the log, not one per client.
-        assert len(service.commit_log) < 8
+        # One insert op per cycle, not one per client.
+        assert len(applied) < 8
 
 
 class TestPublication:
@@ -572,8 +588,10 @@ class TestBackpressure:
         service.shutdown()
 
     def test_commit_timeout_answers_503(self, tmp_path):
+        session = make_session(tmp_path)
+        applied = record_ops(session)
         service = DCService(
-            make_session(tmp_path),
+            session,
             ServiceConfig(port=0, batch_window_ms=0.0, cycle_delay_s=0.5),
         )
         service.start()
@@ -586,7 +604,7 @@ class TestBackpressure:
         deadline_status = client.wait_ready()
         assert deadline_status is not None
         service.shutdown()  # drains the queued write
-        assert any(entry["op"] == "insert" for entry in service.commit_log)
+        assert any(op == "insert" for op, _ in applied)
 
     def test_draining_service_rejects_writes(self, tmp_path):
         service = DCService(make_session(tmp_path), ServiceConfig(port=0))

@@ -2,11 +2,12 @@
 
 This is the same scenario the CI ``service`` smoke job runs: boot the
 server from a CSV, drive it with concurrent :class:`ServiceClient`
-threads, fetch the commit log, SIGTERM the process, and assert that
+threads, SIGTERM the process, and assert that
 
 - the process drains, checkpoints, and exits 0;
 - the recovered on-disk state is byte-identical to replaying the
-  served commit log serially into a fresh oracle session.
+  committed writes (rebuilt from the outcomes the clients received)
+  serially into a fresh oracle session.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.core.state_io import state_to_bytes
 from repro.durability import DurableSession
 from repro.service import ServiceClient
 from repro.workloads import staff_relation
+from tests.conftest import replay_committed
 
 STAFF_ROWS = [
     (1, "Ana", 2000, 5, 1),
@@ -96,18 +98,20 @@ def test_serve_concurrent_traffic_sigterm_drain_recover(staff_csv, tmp_path):
         client.wait_ready(deadline_s=15.0)
 
         errors = []
+        writes = []
 
         def worker(worker_id: int):
             try:
-                own = client.insert(
-                    [
-                        [100 + 2 * worker_id, f"W{worker_id}", 2005, 1, 1],
-                        [101 + 2 * worker_id, f"X{worker_id}", 2006, 2, 1],
-                    ]
-                )
+                rows = [
+                    [100 + 2 * worker_id, f"W{worker_id}", 2005, 1, 1],
+                    [101 + 2 * worker_id, f"X{worker_id}", 2006, 2, 1],
+                ]
+                own = client.insert(rows)
                 assert own["status"] == "committed"
+                writes.append(("insert", rows, own))
                 deleted = client.delete([own["rids"][0]])
                 assert deleted["status"] == "committed"
+                writes.append(("delete", [own["rids"][0]], deleted))
                 checked = client.check([999, f"W{worker_id}", 2005, 1, 1])
                 assert checked["seq"] >= own["seq"]
             except Exception as exc:
@@ -122,7 +126,6 @@ def test_serve_concurrent_traffic_sigterm_drain_recover(staff_csv, tmp_path):
 
         status = client.status()
         assert status["rows"] == 4 + 5 * 2 - 5
-        commit_log = client.log()["entries"]
 
         process.send_signal(signal.SIGTERM)
         stdout, _ = process.communicate(timeout=60)
@@ -139,16 +142,11 @@ def test_serve_concurrent_traffic_sigterm_drain_recover(staff_csv, tmp_path):
     assert recovered.replayed_records == 0
     assert len(recovered.discoverer.relation) == status["rows"]
 
-    # ...and matches a serial replay of the served commit log.
+    # ...and matches a serial replay of the committed writes.
     oracle = DurableSession.create(
         DCDiscoverer(staff_relation()), tmp_path / "oracle"
     )
-    for entry in commit_log:
-        if entry["op"] == "insert":
-            rows = [tuple(row) for row in entry["rows"]]
-            assert oracle.insert(rows).rids == entry["rids"]
-        else:
-            oracle.delete(entry["rids"])
+    replay_committed(oracle, writes)
     assert state_to_bytes(recovered.discoverer) == state_to_bytes(
         oracle.discoverer
     )

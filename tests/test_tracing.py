@@ -42,13 +42,11 @@ from repro.durability.framing import (
     encode_record,
 )
 from repro.durability.wal import WriteAheadLog
-from repro.observability import tracectx
+from repro.observability import span, tracectx
 from repro.observability.flight import (
     FlightRecorder,
     build_span_tree,
-    set_recorder,
     split_counters,
-    trace_span,
 )
 from repro.observability.tracectx import TraceContext
 from repro.service import DCService, ServiceClient, ServiceConfig
@@ -57,11 +55,9 @@ from repro.workloads import staff_relation
 
 @pytest.fixture
 def recorder():
-    """A fresh recorder installed for the test, always uninstalled."""
-    active = FlightRecorder(max_spans=256, slow_threshold_s=0.5)
-    previous = set_recorder(active)
-    yield active
-    set_recorder(previous)
+    """A fresh recorder; spans record into it only under a context bound
+    to it."""
+    return FlightRecorder(max_spans=256, slow_threshold_s=0.5)
 
 
 # -- trace-context identity ---------------------------------------------------
@@ -114,27 +110,34 @@ class TestTraceContext:
 
 
 class TestFlightRecorder:
-    def test_trace_span_is_noop_without_recorder(self):
-        set_recorder(None)
-        with tracectx.activate(TraceContext.mint()):
-            with trace_span("work") as span:
-                assert span is None
+    def test_trace_span_is_noop_without_recorder(self, recorder):
+        """A context bound to no recorder gives its spans ids but sends
+        their records nowhere, not even to an enclosing context's
+        recorder."""
+        with tracectx.activate(TraceContext.mint(recorder=recorder)):
+            with tracectx.activate(TraceContext.mint()):
+                with span("work") as opened:
+                    pass
+        assert opened.span_id is not None
+        assert recorder.spans() == []
 
     def test_trace_span_is_noop_without_context(self, recorder):
-        with trace_span("work") as span:
-            assert span is None
+        with span("work") as opened:
+            pass
+        assert opened.trace_id is None and opened.span_id is None
         assert recorder.spans() == []
 
     def test_nested_spans_parent_correctly(self, recorder):
-        context = TraceContext.mint()
+        context = TraceContext.mint(recorder=recorder)
         with tracectx.activate(context):
-            with trace_span("outer") as outer:
-                with trace_span("inner"):
+            with span("outer") as outer:
+                with span("inner"):
                     pass
         spans = recorder.spans()
         assert [span["name"] for span in spans] == ["inner", "outer"]
         inner, recorded_outer = spans
-        assert inner["parent_id"] == outer["span_id"]
+        assert inner["parent_id"] == outer.span_id
+        assert recorded_outer["span_id"] == outer.span_id
         assert recorded_outer["parent_id"] == context.span_id
         tree = build_span_tree(spans)
         assert [root["name"] for root in tree] == ["outer"]
@@ -269,14 +272,12 @@ class TestTracingByteIdentity:
         def run(traced: bool):
             discoverer = DCDiscoverer(staff_relation())
             discoverer.fit()
-            previous = set_recorder(FlightRecorder() if traced else None)
-            try:
-                context = TraceContext.mint() if traced else None
-                with tracectx.activate(context):
-                    insert = discoverer.insert(rows)
-                    delete = discoverer.delete([insert.rids[0], 1])
-            finally:
-                set_recorder(previous)
+            context = (
+                TraceContext.mint(recorder=FlightRecorder()) if traced else None
+            )
+            with tracectx.activate(context):
+                insert = discoverer.insert(rows)
+                delete = discoverer.delete([insert.rids[0], 1])
             counters = [
                 insert.report.metrics["counters"],
                 delete.report.metrics["counters"],
@@ -454,6 +455,52 @@ def _flatten_names(roots) -> set:
         names.add(span["name"])
         stack.extend(span.get("children", ()))
     return names
+
+
+class TestServiceRecorders:
+    def test_two_services_record_only_their_own_writes(self, tmp_path):
+        first = _service_over(tmp_path / "a", workers=1)
+        second = _service_over(tmp_path / "b", workers=1)
+        try:
+            client = ServiceClient(base_url=first.url, timeout=30.0)
+            client.wait_ready()
+            outcome = client.insert([[50, "Zed", 2020, 3, 1]])
+            tree = client.debug_trace(trace_id=outcome["trace_id"])
+            assert outcome["cycle_trace_id"] in tree["linked_trace_ids"]
+            assert any(
+                root["name"] == "service.cycle"
+                and root["trace_id"] == outcome["cycle_trace_id"]
+                for root in tree["linked_spans"]
+            )
+            ids = {outcome["trace_id"], outcome["cycle_trace_id"]}
+            for record in second.flight.spans():
+                assert record["trace_id"] not in ids
+                assert not ids & set(record.get("links") or ())
+        finally:
+            first.shutdown()
+            second.shutdown()
+
+    def test_checkpoint_is_a_child_of_its_cycle(self, tmp_path):
+        session = DurableSession.create(
+            DCDiscoverer(staff_relation()),
+            tmp_path / "session",
+            checkpoint_every=1,
+        )
+        service = DCService(session, ServiceConfig(port=0))
+        service.start()
+        try:
+            client = ServiceClient(base_url=service.url, timeout=30.0)
+            client.wait_ready()
+            outcome = client.insert([[50, "Zed", 2020, 3, 1]])
+            tree = client.debug_trace(trace_id=outcome["trace_id"])
+            [cycle_root] = [
+                root for root in tree["linked_spans"]
+                if root["name"] == "service.cycle"
+            ]
+            names = {child["name"] for child in cycle_root["children"]}
+            assert "durability.checkpoint" in names
+        finally:
+            service.shutdown()
 
 
 # -- doctor bundle ------------------------------------------------------------
