@@ -20,8 +20,14 @@ publication (no HTTP, no timing): fixed Tax rows go through
 ``snapshot.sigma_delta`` (raw Σ masks added plus removed) and
 ``snapshot.cover_forms_examined`` counters are gated by
 ``bench_gate.py``: a publish that re-examines all of Σ again fails there.
+
+A checks leg beside it checks fixed Tax candidate rows against one
+published snapshot with ``Snapshot.check``.  Its ``check.*`` counters
+(partners compared, distinct evidence masks, DCs tested, DCs violated)
+are gated the same way; the per-check milliseconds are logged only.
 """
 
+import statistics
 import threading
 import time
 
@@ -30,6 +36,7 @@ from _harness import ResultTable, timed
 from repro.core.discoverer import DCDiscoverer
 from repro.dcs.canonical import CanonicalCover
 from repro.durability import DurableSession
+from repro.observability import install
 from repro.relational.loader import relation_from_rows
 from repro.service import DCService, ServiceClient, ServiceConfig, build_snapshot
 from repro.workloads import DATASETS
@@ -42,6 +49,14 @@ WINDOWS_MS = (5.0, 0.0)
 #: Rows the publish leg writes, one insert and one publish each.
 PUBLISH_ROWS = 40
 PUBLISH_COUNTERS = ("snapshot.sigma_delta", "snapshot.cover_forms_examined")
+#: Candidate rows the checks leg checks, none of them inserted.
+CHECK_ROWS = 20
+CHECK_COUNTERS = (
+    "check.partners_compared",
+    "check.evidence_masks",
+    "check.dcs_tested",
+    "check.dcs_violated",
+)
 
 
 def percentile(samples, q: float) -> float:
@@ -109,27 +124,53 @@ def run_closed_loop(tmp_path, window_ms: float) -> dict:
     }
 
 
+def fitted_session(directory, n_later: int) -> tuple:
+    """A session fitted on the first ``STATIC_ROWS`` rows of the fixed
+    row sequence, and the ``n_later`` rows that follow them."""
+    spec = DATASETS[DATASET]
+    rows = spec.rows(STATIC_ROWS + n_later, seed=0)
+    discoverer = DCDiscoverer(relation_from_rows(spec.header, rows[:STATIC_ROWS]))
+    discoverer.fit()
+    return DurableSession.create(discoverer, directory), rows[STATIC_ROWS:]
+
+
 def run_publish_leg(tmp_path) -> dict:
     """Publish work counters of single-row writes, summed over the leg.
 
     Seeding the cover (the first snapshot) is left out: what is gated is
     the per-write cost, which must follow the Σ diff, not |Σ|.
     """
-    spec = DATASETS[DATASET]
-    rows = spec.rows(STATIC_ROWS + PUBLISH_ROWS, seed=0)
-    discoverer = DCDiscoverer(relation_from_rows(spec.header, rows[:STATIC_ROWS]))
-    discoverer.fit()
-    session = DurableSession.create(discoverer, tmp_path / "session-publish")
+    session, later = fitted_session(tmp_path / "session-publish", PUBLISH_ROWS)
+    discoverer = session.discoverer
     cover = CanonicalCover(discoverer.space)
     snapshot = build_snapshot(session, None, cover)
     metrics = discoverer.instrumentation.metrics
     before = dict(metrics.counters)
-    for row in rows[STATIC_ROWS:]:
+    for row in later:
         session.insert([row])
         snapshot = build_snapshot(session, snapshot, cover)
     counters = metrics.counter_delta(before)
     session.close()
     return {name: counters.get(name, 0) for name in PUBLISH_COUNTERS}
+
+
+def run_checks_leg(tmp_path) -> tuple:
+    """Check work counters of fixed candidate rows, summed over the leg,
+    and the milliseconds of each check (logged, not gated)."""
+    session, candidates = fitted_session(tmp_path / "session-checks", CHECK_ROWS)
+    discoverer = session.discoverer
+    snapshot = build_snapshot(session, None, CanonicalCover(discoverer.space))
+    metrics = discoverer.instrumentation.metrics
+    before = dict(metrics.counters)
+    check_ms = []
+    with install(discoverer.instrumentation):
+        for row in candidates:
+            started = time.perf_counter()
+            snapshot.check(row)
+            check_ms.append((time.perf_counter() - started) * 1000)
+    counters = metrics.counter_delta(before)
+    session.close()
+    return {name: counters.get(name, 0) for name in CHECK_COUNTERS}, check_ms
 
 
 def endpoint_quantiles(metrics) -> dict:
@@ -192,6 +233,14 @@ def test_service_throughput(benchmark, tmp_path):
         f"publish {DATASET} {STATIC_ROWS}+{PUBLISH_ROWS} single-row writes"
     )
     table.counters[publish_label] = run_publish_leg(tmp_path)
+    checks_label = (
+        f"checks {DATASET} {STATIC_ROWS} rows, {CHECK_ROWS} candidate rows"
+    )
+    table.counters[checks_label], check_ms = run_checks_leg(tmp_path)
+    table.extras["check_ms"] = {
+        "median": round(statistics.median(check_ms), 3),
+        "max": round(max(check_ms), 3),
+    }
 
     coalesced = measurements[5.0]
     uncoalesced = measurements[0.0]
@@ -210,11 +259,16 @@ def test_service_throughput(benchmark, tmp_path):
             "cycles without a window",
             "single-row closed-loop writes; each cycle = one WAL "
             "round-trip + one snapshot publish regardless of batch size",
-            f"{publish_label}: "
-            + ", ".join(
-                f"{name} {value}"
-                for name, value in table.counters[publish_label].items()
+            *(
+                f"{label}: "
+                + ", ".join(
+                    f"{name} {value}"
+                    for name, value in table.counters[label].items()
+                )
+                for label in (publish_label, checks_label)
             ),
+            f"per check: median {table.extras['check_ms']['median']} ms, "
+            f"max {table.extras['check_ms']['max']} ms (logged, not gated)",
         ]
     )
 

@@ -9,19 +9,26 @@ from __future__ import annotations
 
 from functools import total_ordering
 
+from repro.bitmaps.bitutils import iter_bits
 from repro.predicates.parser import format_dc
 from repro.predicates.space import PredicateSpace
 
 
 @total_ordering
 class DenialConstraint:
-    """A DC ``¬(p₁ ∧ … ∧ pₘ)`` over a predicate space."""
+    """A DC ``¬(p₁ ∧ … ∧ pₘ)`` over a predicate space.
 
-    __slots__ = ("mask", "space")
+    ``bits`` holds the predicates' bit positions, ascending, computed once
+    here: admission checks AND one incidence bitset per predicate, and a
+    canonical DC is shared by every snapshot that publishes it.
+    """
+
+    __slots__ = ("mask", "space", "bits")
 
     def __init__(self, mask: int, space: PredicateSpace):
         self.mask = mask
         self.space = space
+        self.bits = tuple(iter_bits(mask))
 
     @property
     def predicates(self) -> tuple:

@@ -20,13 +20,6 @@ from repro.predicates.operator import Operator
 from repro.relational.relation import Relation
 
 
-class UnsupportedProbeError(ValueError):
-    """An index probe was requested that the column cannot answer (an
-    order operator against a column with no range index).  Subclasses
-    :class:`ValueError` for backward compatibility; the service layer maps
-    it to a protocol (400) error instead of an internal (500) one."""
-
-
 def find_violations(
     dc, relation: Relation, limit: Optional[int] = None
 ) -> List[Tuple[int, int]]:
@@ -59,9 +52,7 @@ def partners_satisfying(
             return eq_bits
         if op is Operator.NE:
             return indexes.indexed_bits & ~eq_bits
-        raise UnsupportedProbeError(
-            f"operator {op} is not defined on a categorical column"
-        )
+        raise ValueError(f"operator {op} is not defined on a categorical column")
     eq_bits, gt_bits = range_index.eq_gt(value)
     if op is Operator.EQ:
         return eq_bits
@@ -85,19 +76,18 @@ def violating_partners_for_row(
 ) -> Tuple[int, int]:
     """Partners forming a violating pair with a *candidate* row.
 
-    ``row`` need not be present in any relation: this is the admission
-    check an application runs *before* committing a tuple ("would this
-    row violate the constraint against the live table?", the serving-time
-    primitive behind the service layer's ``POST /check``).  Returns
-    ``(as_first, as_second)``: rid bits of indexed partners ``u`` such
-    that ``(row, u)`` respectively ``(u, row)`` violates the DC.
-    ``exclude_bits`` removes rids from consideration (a row already in
-    the relation excludes itself).  Every predicate contributes one index
-    probe and one intersection — the IncDC retrieval plan.  ``probes``
-    replaces the probe primitive (same signature as
-    :func:`partners_satisfying` minus the indexes argument) — the service
-    layer passes a memoizing :class:`~repro.verification.ProbeCache` so
-    the DCs of one admission check share probes.
+    ``row`` need not be present in any relation ("would this row violate
+    the constraint against the live table?").  Returns ``(as_first,
+    as_second)``: rid bits of indexed partners ``u`` such that ``(row, u)``
+    respectively ``(u, row)`` violates the DC.  ``exclude_bits`` removes
+    rids from consideration (a row already in the relation excludes
+    itself).  Every predicate contributes one index probe and one
+    intersection — the IncDC retrieval plan, one DC at a time.  It is the
+    test oracle of the service's evidence-first ``POST /check``
+    (:meth:`~repro.service.snapshot.Snapshot.check`), which answers all
+    DCs at once.  ``probes`` replaces the probe primitive (same signature
+    as :func:`partners_satisfying` minus the indexes argument), e.g. to
+    count the probes.
     """
     if probes is None:
         def probes(position, op, value):

@@ -606,7 +606,7 @@ class DurableSession:
         instrumentation.set_gauge(
             "durability.pending_wal_records", self._pending_records
         )
-        instrumentation.set_gauge("durability.wal_bytes", self._wal.size)
+        instrumentation.set_gauge("durability.wal_size_bytes", self._wal.size)
         instrumentation.set_gauge(
             "durability.checkpoints_on_disk",
             len(list_checkpoints(checkpoint_dir)),

@@ -38,7 +38,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.dcs.canonical import CanonicalCover
 from repro.dcs.denial_constraint import DenialConstraint
-from repro.dcs.violations import UnsupportedProbeError
 from repro.durability.session import SessionFencedError
 from repro.observability import (
     LATENCY_BOUNDS_S,
@@ -736,13 +735,7 @@ class DCService:
         if limit is not None and (not isinstance(limit, int) or limit < 0):
             raise protocol.ProtocolError("limit must be a non-negative int")
         self._metric_inc("service.checks_total")
-        try:
-            return snapshot.check(row, dcs=dcs, limit=limit)
-        except UnsupportedProbeError as exc:
-            # A DC that the snapshot's indexes cannot answer (an order
-            # operator against a column with no range index) is a bad
-            # request, not an internal failure.
-            raise protocol.ProtocolError(f"unsupported DC: {exc}") from None
+        return snapshot.check(row, dcs=dcs, limit=limit)
 
     def verify_payload(
         self, limit: Optional[int] = None, snapshot: Optional[Snapshot] = None

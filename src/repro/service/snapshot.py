@@ -21,10 +21,11 @@ alone, so reads never block on — and are never blocked by — the writer:
   never reachable from a snapshot.
 
 A snapshot also answers the serving-time question of the companion
-detection line of work: :meth:`Snapshot.check` runs the candidate row
-through :func:`~repro.dcs.violations.violating_partners_for_row` against
-the snapshot's indexes — an admission check *before* the row is
-committed, at index-probe cost.
+detection line of work: :meth:`Snapshot.check` is an admission check
+*before* the row is committed.  It computes the candidate row's evidence
+against every partner once (the one-row Δr of Section V) and reads every
+DC's violating partners off that evidence: a pair violates a DC iff the
+DC's mask is a subset of the pair's evidence.
 """
 
 from __future__ import annotations
@@ -37,10 +38,14 @@ from repro.bitmaps.bitutils import iter_bits
 from repro.dcs.canonical import CanonicalCover, canonicalize_masks
 from repro.dcs.denial_constraint import DenialConstraint
 from repro.dcs.ranking import rank_dcs
-from repro.dcs.violations import violating_partners_for_row
+
+# Not called here: dcbench/tracing.py patches this name in this module
+# (its ``dcs.violations`` layer), and a traced server cannot start without it.
+from repro.dcs.violations import violating_partners_for_row  # noqa: F401
 from repro.evidence.evidence_set import EvidenceSet
+from repro.observability.probe import get_probe
 from repro.relational.relation import Relation
-from repro.verification import ProbeCache, Verifier
+from repro.verification import Verifier
 
 
 class Snapshot:
@@ -131,19 +136,51 @@ class Snapshot:
         partners listed per direction (the bit counts stay exact).
         Returns the body of ``POST /check``.
 
-        All DCs of one check share a :class:`~repro.verification.ProbeCache`:
-        a minimal cover reuses predicates heavily, so deduplicating the
-        ``(column, op, value)`` probes cuts the per-check index work well
-        below one probe per predicate per DC.
+        Evidence first: the row is compared once with every indexed
+        partner (``e(row, u)``), partners are grouped by evidence mask,
+        and each distinct mask is symmetrized once for the reverse order
+        (``e(u, row)``).  Bit ``j`` of ``incidence[p]`` says that distinct
+        mask ``j`` contains predicate ``p``; bit ``k + j`` says the same of
+        its symmetrized twin.  A DC's violating masks are then the AND of
+        its predicates' incidence bitsets, starting from all of them, so
+        the empty DC is violated by every partner.  ``probes`` reports
+        the partners compared (``lookups``) and their distinct evidence
+        masks (``unique``).
         """
+        space = self.space
+        evidence_of_pair = space.evidence_of_pair
+        row_of = self.relation.row
+        rids_by_mask = {}
+        n_partners = 0
+        for rid in iter_bits(self.indexes.indexed_bits):
+            mask = evidence_of_pair(row, row_of(rid))
+            rids_by_mask[mask] = rids_by_mask.get(mask, 0) | (1 << rid)
+            n_partners += 1
+        rid_groups = list(rids_by_mask.values())
+        k = len(rid_groups)
+        incidence = [0] * space.n_bits
+        for j, mask in enumerate(rids_by_mask):
+            forward, reverse = 1 << j, 1 << (k + j)
+            for bit in iter_bits(mask):
+                incidence[bit] |= forward
+            for bit in iter_bits(space.symmetrize(mask)):
+                incidence[bit] |= reverse
+        all_masks = (1 << (2 * k)) - 1
+        forward_masks = (1 << k) - 1
+
+        if dcs is None:
+            dcs = self.canonical
         violations = []
-        cache = ProbeCache(self.indexes)
-        for dc in dcs if dcs is not None else self.canonical:
-            as_first, as_second = violating_partners_for_row(
-                dc, row, self.indexes, probes=cache.partners
-            )
-            if not as_first and not as_second:
+        for dc in dcs:
+            hits = all_masks
+            for bit in dc.bits:
+                hits &= incidence[bit]
+                if not hits:
+                    break
+            if not hits:
                 continue
+            as_first = _union(rid_groups, hits & forward_masks)
+            as_second = _union(rid_groups, hits >> k)
             violations.append(
                 {
                     "dc": str(dc),
@@ -153,12 +190,18 @@ class Snapshot:
                     "as_second": _rid_list(as_second, limit),
                 }
             )
+        probe = get_probe()
+        if probe is not None:
+            probe.inc("check.partners_compared", n_partners)
+            probe.inc("check.evidence_masks", k)
+            probe.inc("check.dcs_tested", len(dcs))
+            probe.inc("check.dcs_violated", len(violations))
         return {
             "seq": self.seq,
             "ok": not violations,
             "n_violated_dcs": len(violations),
             "violations": violations,
-            "probes": {"lookups": cache.lookups, "unique": cache.misses},
+            "probes": {"lookups": n_partners, "unique": k},
         }
 
     def verify_payload(self, limit: Optional[int] = None, sample: int = 5) -> dict:
@@ -224,6 +267,14 @@ class Snapshot:
 
 
 _mask_of = attrgetter("mask")
+
+
+def _union(rid_groups: List[int], selected: int) -> int:
+    """OR of the rid groups whose positions are set in ``selected``."""
+    bits = 0
+    for position in iter_bits(selected):
+        bits |= rid_groups[position]
+    return bits
 
 
 def _rid_list(bits: int, limit: Optional[int]) -> List[int]:

@@ -8,12 +8,9 @@ predicates via a sorted merge with cumulative bitmap unions), and the
 remaining predicates are refined per tuple only inside non-empty blocks.
 
 :mod:`repro.verification.kernel` implements the sweep-and-probe
-:class:`Verifier`; :mod:`repro.verification.rowcheck` provides the
-memoizing :class:`ProbeCache` that deduplicates index probes across the
-DCs of one admission check (``POST /check``).  See docs/verification.md.
+:class:`Verifier`.  See docs/verification.md.
 """
 
 from repro.verification.kernel import VerificationResult, Verifier
-from repro.verification.rowcheck import ProbeCache
 
-__all__ = ["ProbeCache", "VerificationResult", "Verifier"]
+__all__ = ["VerificationResult", "Verifier"]

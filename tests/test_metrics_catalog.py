@@ -4,10 +4,11 @@ documented.
 Runs fit, insert and delete under both delete strategies, one verify-mode
 insert and delete, and one served write plus ``/check``, ``/dcs``,
 ``/status`` and ``/metrics``, then asserts that each emitted counter,
-gauge and histogram name matches a table row in ``docs/*.md``.  A row
-names its metrics in backticks in its first cell, with two shorthands:
-``a.b`` / ``c`` is ``a.b`` and ``a.c``, and ``a.{x,y}_z`` is ``a.x_z``
-and ``a.y_z``; an ``<…>`` placeholder matches any text.
+gauge and histogram name matches a table row in ``docs/*.md`` and that
+no name is emitted as two kinds.  A row names its metrics in backticks
+in its first cell, with two shorthands: ``a.b`` / ``c`` is ``a.b`` and
+``a.c``, and ``a.{x,y}_z`` is ``a.x_z`` and ``a.y_z``; an ``<…>``
+placeholder matches any text.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import itertools
 import re
 from pathlib import Path
+
+import pytest
 
 from repro.core.discoverer import DCDiscoverer
 from repro.durability import DurableSession
@@ -59,13 +62,13 @@ def documented_patterns() -> list:
     return patterns
 
 
-def _emitted(registry) -> set:
+KINDS = ("counters", "gauges", "histograms")
+
+
+def _emitted(registry) -> dict:
+    """Emitted names by kind."""
     snapshot = registry.snapshot()
-    return {
-        name
-        for kind in ("counters", "gauges", "histograms")
-        for name in snapshot.get(kind, {})
-    }
+    return {kind: set(snapshot.get(kind, {})) for kind in KINDS}
 
 
 def test_expands_row_shorthands(tmp_path, monkeypatch):
@@ -90,8 +93,16 @@ def test_expands_row_shorthands(tmp_path, monkeypatch):
         assert not documented(name), name
 
 
-def test_every_emitted_metric_is_documented(tmp_path):
-    emitted = set()
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory) -> dict:
+    """Names emitted by the catalog workloads, by kind."""
+    tmp_path = tmp_path_factory.mktemp("catalog")
+    emitted = {kind: set() for kind in KINDS}
+
+    def collect(registry):
+        for kind, names in _emitted(registry).items():
+            emitted[kind] |= names
+
     for strategy in ("index", "recompute"):
         discoverer = DCDiscoverer(staff_relation(), delete_strategy=strategy)
         discoverer.fit()
@@ -99,7 +110,7 @@ def test_every_emitted_metric_is_documented(tmp_path):
             [(10, "Ana", 2000, 1, 1), (11, "Bo", 2001, 2, 2)]
         )
         discoverer.delete([inserted.rids[0], 1])
-        emitted |= _emitted(discoverer.instrumentation.metrics)
+        collect(discoverer.instrumentation.metrics)
 
     verifier = DCDiscoverer(
         staff_relation(), mode="verify", constraints=[discoverer.dc_masks[0]]
@@ -107,7 +118,7 @@ def test_every_emitted_metric_is_documented(tmp_path):
     verifier.fit()
     inserted = verifier.insert([(10, "Ana", 2000, 1, 1)])
     verifier.delete([inserted.rids[0]])
-    emitted |= _emitted(verifier.instrumentation.metrics)
+    collect(verifier.instrumentation.metrics)
 
     session = DurableSession.create(
         DCDiscoverer(staff_relation()), tmp_path / "session"
@@ -124,14 +135,29 @@ def test_every_emitted_metric_is_documented(tmp_path):
         client.metrics_text()
     finally:
         service.shutdown()
-    emitted |= _emitted(service.instrumentation.metrics)
+    collect(service.instrumentation.metrics)
+    return emitted
 
+
+def test_every_emitted_metric_is_documented(emitted):
     patterns = documented_patterns()
     undocumented = sorted(
-        name for name in emitted
+        name
+        for name in set().union(*emitted.values())
         if not any(pattern.match(name) for pattern in patterns)
     )
     assert undocumented == [], (
         "emitted metrics with no docs/*.md table row: "
         + ", ".join(undocumented)
     )
+
+
+def test_no_name_is_emitted_as_two_kinds(emitted):
+    """One name is one metric: a counter and a gauge sharing a name would
+    export two series with different meanings under one catalog row."""
+    shared = sorted(
+        f"{name} ({first}, {second})"
+        for first, second in itertools.combinations(KINDS, 2)
+        for name in emitted[first] & emitted[second]
+    )
+    assert shared == [], "names emitted as two kinds: " + ", ".join(shared)

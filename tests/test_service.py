@@ -232,24 +232,6 @@ class TestEndpoints:
         probes = payload["probes"]
         assert 0 < probes["unique"] <= probes["lookups"]
 
-    def test_unsupported_probe_is_400_not_500(self, service, client):
-        """Regression: an order-op probe that the snapshot's indexes
-        cannot answer (range index gone, e.g. a degraded clone) used to
-        escape as a bare ValueError and a 500; it must be a 400."""
-        snapshot = service.snapshot
-        position = next(
-            i
-            for i, column in enumerate(snapshot.relation.schema)
-            if column.name == "Hired"
-        )
-        snapshot.indexes.ranges[position] = None
-        with pytest.raises(ServiceError) as excinfo:
-            client.check(
-                [9, "Zoe", 1990, 9, 9], dcs=["!(t.Hired > t'.Hired)"]
-            )
-        assert excinfo.value.status == 400
-        assert "unsupported DC" in str(excinfo.value)
-
     def test_verify_endpoint(self, client):
         payload = client.verify()
         assert payload["seq"] == 0

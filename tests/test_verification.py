@@ -8,6 +8,9 @@ the two pre-existing violation detectors on every relation and DC:
 - :func:`repro.dcs.violations.violating_partners` — the per-tuple IncDC
   probe plan, checked row by row.
 
+The same per-DC probe plan is in turn the oracle of the service's
+evidence-first admission check (``Snapshot.check``).
+
 Hypothesis generates the relations (categorical, integer, and float
 columns — NaN included, exercising the engine-wide NaN total order) and a
 seeded RNG draws DC masks from the predicate space.  The heavy suites
@@ -25,13 +28,19 @@ from hypothesis import strategies as st
 from repro import DCDiscoverer, relation_from_rows
 from repro.bitmaps.bitutils import iter_bits
 from repro.core.state_io import state_from_dict, state_to_bytes, state_to_dict
+from repro.dcs.canonical import canonicalize_masks
 from repro.dcs.denial_constraint import DenialConstraint
-from repro.dcs.violations import find_violations, violating_partners
+from repro.dcs.violations import (
+    find_violations,
+    violating_partners,
+    violating_partners_for_row,
+)
 from repro.enumeration.dynamic import dynei_delete, lost_critical_predicate
 from repro.enumeration.settrie import SetTrie
 from repro.evidence.indexes import ColumnIndexes
 from repro.predicates import build_predicate_space
-from repro.verification import ProbeCache, Verifier
+from repro.service.snapshot import Snapshot
+from repro.verification import Verifier
 from tests.test_differential import static_oracle
 
 NAN = float("nan")
@@ -122,13 +131,9 @@ def test_kernel_matches_per_tuple_plan(rows, seed):
 @settings(deadline=None)
 def test_admission_check_matches_pairwise_eval(rows, row, seed):
     """violating_partners_for_row on a candidate row (not in the
-    relation) agrees with direct pairwise evaluation, with and without a
-    shared ProbeCache."""
-    from repro.dcs.violations import violating_partners_for_row
-
+    relation) agrees with direct pairwise evaluation."""
     relation, space, indexes = _fixture(rows)
     rng = random.Random(seed)
-    cache = ProbeCache(indexes)
     for mask in _draw_masks(rng, space, count=4):
         dc = DenialConstraint(mask, space)
         expect_first = 0
@@ -143,10 +148,88 @@ def test_admission_check_matches_pairwise_eval(rows, row, seed):
             expect_first,
             expect_second,
         )
-        assert violating_partners_for_row(
-            dc, row, indexes, probes=cache.partners
-        ) == (expect_first, expect_second)
-    assert cache.misses <= cache.lookups
+
+
+def _probe_plan_violations(snapshot, row, dcs, limit):
+    """The ``violations`` of ``POST /check`` built from the per-DC probe
+    plan, one :func:`violating_partners_for_row` call per DC."""
+    violations = []
+    for dc in dcs:
+        as_first, as_second = violating_partners_for_row(dc, row, snapshot.indexes)
+        if not as_first and not as_second:
+            continue
+        violations.append(
+            {
+                "dc": str(dc),
+                "mask": format(dc.mask, "x"),
+                "n_partners": (as_first | as_second).bit_count(),
+                "as_first": list(iter_bits(as_first))[:limit],
+                "as_second": list(iter_bits(as_second))[:limit],
+            }
+        )
+    return violations
+
+
+@pytest.mark.verification
+@given(
+    rows=rows_strategy,
+    keep=st.integers(0, 12),
+    row=row_strategy,
+    seed=st.integers(0, 10**9),
+    limit=st.none() | st.integers(0, 3),
+)
+@settings(deadline=None)
+def test_snapshot_check_matches_probe_plan(rows, keep, row, seed, limit):
+    """The evidence-first ``Snapshot.check`` returns, DC for DC, what the
+    per-DC probe plan returns on the same snapshot indexes.
+
+    Σ is the canonical cover of a fit with cross-column groups; the
+    snapshot's relation keeps a random ``keep`` of its rows (down to 0
+    and 1), so partners have gaps in their rids.  Both the canonical Σ
+    and a random ``dcs=`` set (always with the empty DC, violated by every
+    partner) are checked, with a random ``limit``."""
+    rng = random.Random(seed)
+    discoverer = DCDiscoverer(
+        relation_from_rows(["A", "B", "C"], rows), cross_column_ratio=0.0
+    )
+    discoverer.fit()
+    space = discoverer.space
+    relation = relation_from_rows(["A", "B", "C"], rows)
+    relation.delete(rng.sample(range(len(rows)), max(0, len(rows) - keep)))
+    canonical = [
+        DenialConstraint(mask, space)
+        for mask in canonicalize_masks(discoverer.dc_masks, space)
+    ]
+    snapshot = Snapshot(
+        0,
+        relation,
+        ColumnIndexes(relation),
+        space,
+        discoverer.dc_masks,
+        canonical,
+        discoverer.evidence_set,
+        {},
+    )
+    drawn = [
+        DenialConstraint(mask, space)
+        for mask in [0, *_draw_masks(rng, space, count=8, max_width=4)]
+    ]
+    for dcs in (None, drawn):
+        payload = snapshot.check(row, dcs=dcs, limit=limit)
+        expected = _probe_plan_violations(
+            snapshot, row, canonical if dcs is None else dcs, limit
+        )
+        assert payload["violations"] == expected
+        assert payload["ok"] == (not expected)
+        assert payload["n_violated_dcs"] == len(expected)
+        evidence = {
+            space.evidence_of_pair(row, relation.row(rid))
+            for rid in relation.rids()
+        }
+        assert payload["probes"] == {
+            "lookups": len(relation),
+            "unique": len(evidence),
+        }
 
 
 class TestPlans:
@@ -456,22 +539,6 @@ class TestVerifyMode:
         )
         with pytest.raises(ValueError, match="outside the space"):
             discoverer.fit()
-
-
-class TestProbeCache:
-    def test_deduplicates_probes(self):
-        relation = relation_from_rows(
-            ["A"], [(1,), (2,), (1,)]
-        )
-        indexes = ColumnIndexes(relation)
-        cache = ProbeCache(indexes)
-        from repro.predicates.operator import Operator
-
-        first = cache.partners(0, Operator.EQ, 1)
-        again = cache.partners(0, Operator.EQ, 1)
-        assert first == again == 0b101
-        assert cache.lookups == 2
-        assert cache.misses == 1
 
 
 def test_nan_total_order_agrees_everywhere():
