@@ -55,7 +55,12 @@ BASE_ROWS = {
 #: does for its in-depth Section VII-C experiments).
 SWEEP_DATASETS = ("Airport", "Claim", "Dit", "Tax")
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: Where tables are written: the committed ``benchmarks/results/`` by
+#: default, or ``REPRO_RESULTS_DIR`` (``bench_gate.py`` points it at a
+#: scratch directory so a gate run leaves the committed files alone).
+RESULTS_DIR = Path(
+    os.environ.get("REPRO_RESULTS_DIR") or Path(__file__).parent / "results"
+)
 
 
 def rows_for(name: str) -> int:
@@ -227,7 +232,7 @@ class ResultTable:
         text = self._format()
         for note in shape_notes:
             text += f"\nshape: {note}"
-        RESULTS_DIR.mkdir(exist_ok=True)
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         (RESULTS_DIR / self.filename).write_text(text + "\n")
         json_path = (RESULTS_DIR / self.filename).with_suffix(".json")
         json_path.write_text(

@@ -15,7 +15,7 @@ from _harness import (
     timed,
 )
 
-from repro.enumeration import DynHS, SetTrie
+from repro.enumeration import DynHS, IncidenceSet
 from repro.enumeration.inversion import maximal_masks, refine_sigma
 from repro.enumeration.mmcs import mmcs_enumerate
 from repro.evidence import (
@@ -51,13 +51,14 @@ def _prepare_insert(name, ratio, column_names=None, total_rows=None):
 
 
 def _measure_pair(space, sigma, previous_evidence, new_masks):
-    trie = SetTrie(sigma)  # DynEI state, prepared outside the timed region
+    # DynEI's Σ, prepared outside the timed region.
+    dynei_sigma = IncidenceSet(sigma)
     _, t_dynei = timed(
-        lambda: refine_sigma(space, trie, maximal_masks(new_masks))
+        lambda: refine_sigma(space, dynei_sigma, maximal_masks(new_masks))
     )
     enumerator = DynHS(space, previous_evidence)  # crit bootstrap untimed
     _, t_dynhs = timed(lambda: enumerator.insert_evidence(new_masks))
-    assert sorted(trie.masks()) == enumerator.dc_masks, "enumerators disagree"
+    assert sorted(dynei_sigma) == enumerator.dc_masks, "enumerators disagree"
     return t_dynei, t_dynhs
 
 

@@ -27,7 +27,7 @@ from _harness import (
 )
 
 from repro.core.discoverer import DCDiscoverer
-from repro.enumeration import DynHS, SetTrie, dynamic, dynei_delete
+from repro.enumeration import DynHS, IncidenceSet, dynamic, dynei_delete
 from repro.enumeration.mmcs import mmcs_enumerate
 from repro.evidence import (
     apply_delete_evidence,
@@ -63,13 +63,16 @@ def _prepare_delete(name, ratio, column_names=None):
 
 
 def _measure_pair(space, sigma, previous_evidence, removed, remaining):
-    trie = SetTrie(sigma)  # dynei_delete updates it in place; built untimed
-    _, t_dynei = timed(lambda: dynei_delete(space, trie, removed, remaining))
+    # dynei_delete updates Σ in place; built untimed.
+    dynei_sigma = IncidenceSet(sigma)
+    _, t_dynei = timed(
+        lambda: dynei_delete(space, dynei_sigma, removed, remaining)
+    )
     enumerator = DynHS(space, previous_evidence)  # crit bootstrap untimed
     _, t_dynhs = timed(
         lambda: enumerator.delete_evidence(removed, remaining)
     )
-    assert sorted(trie) == enumerator.dc_masks, "enumerators disagree"
+    assert sorted(dynei_sigma) == enumerator.dc_masks, "enumerators disagree"
     return t_dynei, t_dynhs
 
 
@@ -102,9 +105,9 @@ def test_fig12a_delete_size_sweep(benchmark):
     space, sigma, previous, removed, remaining = _prepare_delete(
         SIZE_DATASETS[2], 0.1
     )
-    trie = SetTrie(sigma)
+    dynei_sigma = IncidenceSet(sigma)
     benchmark.pedantic(
-        lambda: dynei_delete(space, trie, removed, remaining),
+        lambda: dynei_delete(space, dynei_sigma, removed, remaining),
         rounds=1, iterations=1,
     )
 
@@ -175,7 +178,7 @@ def test_fig12c_window_steps(benchmark, monkeypatch):
     discoverer = DCDiscoverer(relation_from_rows(header, rows[:WINDOW_ROWS]))
     discoverer.fit()
     # The re-check and re-grow are module functions of the delete; the
-    # rest of its enumeration time is the flag scan and the trie delta.
+    # rest of its enumeration time is the flag pass and the Σ delta.
     split = {"recheck": 0.0, "regrow": 0.0}
     monkeypatch.setattr(
         dynamic, "lost_critical_predicate",

@@ -18,7 +18,7 @@ compares what *is* deterministic:
 3. **DynEI delete counters** — the ``enumeration.*`` counters of each
    digest workload's delete (DCs dropped, flagged predicates re-checked
    against the evidence, DCs re-added and re-grown) are written to
-   ``results/dynei_delete_gate.json`` and gated the same way; the gate
+   ``dynei_delete_gate.json`` and gated the same way; the gate
    fails outright when neither delete removed any evidence.
 4. **Tracing is an observer with one recording path** — a traced run of
    a fixed workload must match the untraced run's counters and digest,
@@ -29,7 +29,13 @@ Usage::
 
     python benchmarks/bench_gate.py            # run benchmarks + compare
     python benchmarks/bench_gate.py --update   # refresh the baselines
-    python benchmarks/bench_gate.py --skip-bench   # compare existing results
+    python benchmarks/bench_gate.py --skip-bench   # compare committed results
+
+A comparing run writes every results file it produces (the benchmarks'
+tables and the gate's own records) under ``.bench_gate/`` at the
+repository root and reads the counters back from there, so
+``benchmarks/results/`` stays byte-identical; only ``--update`` rewrites
+the committed results and baselines.
 
 The gate row counts are reduced (``GATE_SCALE``) so the whole job stays
 in CI budget; baselines are committed for exactly that scale.
@@ -49,6 +55,9 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
 RESULTS_DIR = BENCH_DIR / "results"
+#: Where a comparing run writes its results (``--update`` writes to
+#: ``RESULTS_DIR``), so the committed files stay as they are.
+OUT_DIR = REPO_ROOT / ".bench_gate"
 BASELINE_PATH = BENCH_DIR / "baselines" / "bench_gate.json"
 
 #: Row-count multiplier the gate runs (and its baselines were recorded) at.
@@ -82,9 +91,10 @@ DIGEST_WORKLOADS = (("Tax", "index"), ("Airport", "recompute"))
 TRACE_OVERHEAD_PAIRS = 5
 
 
-def run_benchmarks() -> None:
+def run_benchmarks(out_dir: Path) -> None:
     env = dict(os.environ)
     env["REPRO_BENCH_SCALE"] = str(GATE_SCALE)
+    env["REPRO_RESULTS_DIR"] = str(out_dir)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
     ).rstrip(os.pathsep)
@@ -97,14 +107,17 @@ def run_benchmarks() -> None:
         "-p",
         "no:cacheprovider",
     ]
-    print(f"gate: running benchmarks at scale {GATE_SCALE:g}", flush=True)
+    print(
+        f"gate: running benchmarks at scale {GATE_SCALE:g} into {out_dir}",
+        flush=True,
+    )
     subprocess.run(command, check=True, env=env, cwd=REPO_ROOT)
 
 
-def collect_counters() -> dict:
+def collect_counters(results_dir: Path) -> dict:
     counters = {}
     for filename in GATE_RESULTS:
-        path = RESULTS_DIR / filename
+        path = results_dir / filename
         payload = json.loads(path.read_text())
         counters[filename] = payload.get("counters", {})
     return counters
@@ -165,13 +178,20 @@ def compute_digests() -> tuple:
     return digests, deletes
 
 
-def dynei_delete_gate(deletes: dict) -> dict:
+def write_record(out_dir: Path, filename: str, record: dict) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / filename).write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n"
+    )
+
+
+def dynei_delete_gate(deletes: dict, out_dir: Path) -> dict:
     """Snapshot the digest workloads' DynEI delete counters.
 
     ``deletes`` maps each digest workload to the ``enumeration.*``
     counters of its delete.  They are written to
-    ``results/dynei_delete_gate.json`` and gated against the committed
-    baselines like the benchmark work counters.  A gate whose deletes
+    ``dynei_delete_gate.json`` under ``out_dir`` and gated against the
+    committed baselines like the benchmark work counters.  A gate whose deletes
     removed no evidence would never reach the drop / re-check / re-grow
     path, so that fails here.
     """
@@ -191,10 +211,7 @@ def dynei_delete_gate(deletes: dict) -> dict:
         "scale": GATE_SCALE,
         "counters": gated,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "dynei_delete_gate.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
+    write_record(out_dir, "dynei_delete_gate.json", record)
     for label, counters in gated.items():
         print(
             f"gate: DynEI delete {label} — "
@@ -205,7 +222,7 @@ def dynei_delete_gate(deletes: dict) -> dict:
     return gated
 
 
-def pool_gate_check(digests: dict) -> dict:
+def pool_gate_check(digests: dict, out_dir: Path) -> dict:
     """Fork-pool determinism gate (docs/performance.md#the-fork-pool).
 
     Re-runs the first digest workload serially and at ``workers=2`` on
@@ -213,8 +230,8 @@ def pool_gate_check(digests: dict) -> dict:
     digest and the serial ``evidence.*`` counters exactly — a stripe that
     drifts from the serial path fails the gate here even if every unit
     test was skipped.  The pooled run's ``evidence.*`` and ``parallel.*``
-    counters are written to ``results/pool_gate.json`` and gated against
-    the committed baselines alongside the benchmark work counters.
+    counters are written to ``pool_gate.json`` under ``out_dir`` and gated
+    against the committed baselines alongside the benchmark work counters.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.core.state_io import state_to_bytes
@@ -281,10 +298,7 @@ def pool_gate_check(digests: dict) -> dict:
         "digest": digest,
         "counters": {pool_label: gated},
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "pool_gate.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
+    write_record(out_dir, "pool_gate.json", record)
     print(
         f"gate: fork-pool digest OK — {label} at workers=2 matches serial "
         f"({digest[:16]}…) with identical evidence counters, "
@@ -313,7 +327,7 @@ def _count_spans(span) -> int:
     return 1 + sum(_count_spans(child) for child in span.children)
 
 
-def trace_overhead_check() -> dict:
+def trace_overhead_check(out_dir: Path) -> dict:
     """Tracing must observe the engine, never change it.
 
     Runs one fixed maintenance workload both ways — each call under its
@@ -328,8 +342,8 @@ def trace_overhead_check() -> dict:
     ``TRACE_OVERHEAD_PAIRS`` pairs, untraced first in even pairs and
     traced first in odd ones, and every pair is checked.  Each pair's
     wall-clock ratio and their median are logged to
-    ``results/trace_overhead.json`` for the perf trajectory but never
-    gated on (CI wall time is noise).
+    ``trace_overhead.json`` under ``out_dir`` for the perf trajectory but
+    never gated on (CI wall time is noise).
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     import time
@@ -434,10 +448,7 @@ def trace_overhead_check() -> dict:
         "pairs": pairs,
         "overhead_ratio": statistics.median(ratios),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "trace_overhead.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    write_record(out_dir, "trace_overhead.json", report)
     print(
         f"gate: trace overhead OK — counters and digest byte-identical in "
         f"{len(pairs)} pairs, {n_records} flight records form the "
@@ -487,7 +498,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--skip-bench",
         action="store_true",
-        help="compare existing results/ files without re-running benchmarks",
+        help="compare the committed results/ files without re-running "
+        "the benchmarks",
     )
     parser.add_argument(
         "--tolerance",
@@ -497,13 +509,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if not args.skip_bench:
-        run_benchmarks()
-    counters = collect_counters()
+    out_dir = RESULTS_DIR if args.update else OUT_DIR
+    if args.skip_bench:
+        counters = collect_counters(RESULTS_DIR)
+    else:
+        run_benchmarks(out_dir)
+        counters = collect_counters(out_dir)
     digests, deletes = compute_digests()
-    counters["pool_gate.json"] = pool_gate_check(digests)
-    counters["dynei_delete_gate.json"] = dynei_delete_gate(deletes)
-    trace_overhead_check()
+    counters["pool_gate.json"] = pool_gate_check(digests, out_dir)
+    counters["dynei_delete_gate.json"] = dynei_delete_gate(deletes, out_dir)
+    trace_overhead_check(out_dir)
 
     if args.update:
         BASELINE_PATH.parent.mkdir(exist_ok=True)

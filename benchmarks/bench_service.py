@@ -20,6 +20,11 @@ publication (no HTTP, no timing): fixed Tax rows go through
 ``snapshot.sigma_delta`` (raw Σ masks added plus removed) and
 ``snapshot.cover_forms_examined`` counters are gated by
 ``bench_gate.py``: a publish that re-examines all of Σ again fails there.
+The leg also logs the wall clock of one ``build_snapshot`` at |r| = 420
+and |r| = 4,200 (``extras.snapshot_build_ms``, not gated).  Those
+sessions track a fixed Σ (``mode="verify"``), which keeps a 4,200-row
+fit affordable; the build is the same code, and what it still costs per
+row is the column-index clone.
 
 A checks leg beside it checks fixed Tax candidate rows against one
 published snapshot with ``Snapshot.check``.  Its ``check.*`` counters
@@ -49,6 +54,12 @@ WINDOWS_MS = (5.0, 0.0)
 #: Rows the publish leg writes, one insert and one publish each.
 PUBLISH_ROWS = 40
 PUBLISH_COUNTERS = ("snapshot.sigma_delta", "snapshot.cover_forms_examined")
+#: Relation sizes the publish leg times one snapshot build at, and the
+#: single-row writes (one build each) it takes the median over.
+PUBLISH_SIZES = (420, 4200)
+PUBLISH_TIMED_WRITES = 15
+#: The fixed Σ of the timed builds: one DC over a near-key column.
+PUBLISH_DC = "!(t.phone = t'.phone)"
 #: Candidate rows the checks leg checks, none of them inserted.
 CHECK_ROWS = 20
 CHECK_COUNTERS = (
@@ -154,6 +165,35 @@ def run_publish_leg(tmp_path) -> dict:
     return {name: counters.get(name, 0) for name in PUBLISH_COUNTERS}
 
 
+def time_snapshot_builds(tmp_path) -> dict:
+    """Median wall-clock milliseconds of one ``build_snapshot`` after a
+    single-row write, per relation size (logged, not gated)."""
+    spec = DATASETS[DATASET]
+    timings = {}
+    for n_rows in PUBLISH_SIZES:
+        rows = spec.rows(n_rows + PUBLISH_TIMED_WRITES, seed=0)
+        discoverer = DCDiscoverer(
+            relation_from_rows(spec.header, rows[:n_rows]),
+            mode="verify",
+            constraints=[PUBLISH_DC],
+        )
+        session = DurableSession.create(
+            discoverer, tmp_path / f"session-publish-{n_rows}"
+        )
+        cover = CanonicalCover(discoverer.space)
+        snapshot = build_snapshot(session, None, cover)
+        build_ms = []
+        for row in rows[n_rows:]:
+            session.insert([row])
+            started = time.perf_counter()
+            snapshot = build_snapshot(session, snapshot, cover)
+            build_ms.append((time.perf_counter() - started) * 1000)
+        assert len(snapshot.relation) == n_rows + PUBLISH_TIMED_WRITES
+        session.close()
+        timings[str(n_rows)] = round(statistics.median(build_ms), 3)
+    return timings
+
+
 def run_checks_leg(tmp_path) -> tuple:
     """Check work counters of fixed candidate rows, summed over the leg,
     and the milliseconds of each check (logged, not gated)."""
@@ -233,6 +273,7 @@ def test_service_throughput(benchmark, tmp_path):
         f"publish {DATASET} {STATIC_ROWS}+{PUBLISH_ROWS} single-row writes"
     )
     table.counters[publish_label] = run_publish_leg(tmp_path)
+    table.extras["snapshot_build_ms"] = time_snapshot_builds(tmp_path)
     checks_label = (
         f"checks {DATASET} {STATIC_ROWS} rows, {CHECK_ROWS} candidate rows"
     )
@@ -269,6 +310,12 @@ def test_service_throughput(benchmark, tmp_path):
             ),
             f"per check: median {table.extras['check_ms']['median']} ms, "
             f"max {table.extras['check_ms']['max']} ms (logged, not gated)",
+            "snapshot build after a single-row write, median ms: "
+            + ", ".join(
+                f"|r| = {n_rows}: {build_ms}"
+                for n_rows, build_ms in table.extras["snapshot_build_ms"].items()
+            )
+            + " (logged, not gated)",
         ]
     )
 

@@ -26,8 +26,8 @@ from bisect import insort
 from typing import Iterable, List, Sequence
 
 from repro.bitmaps.bitutils import iter_bits
+from repro.enumeration.incidence import IncidenceSet
 from repro.enumeration.inversion import refine_sigma
-from repro.enumeration.settrie import SetTrie
 from repro.predicates.operator import Operator
 from repro.predicates.space import PredicateSpace
 from repro.relational.relation import Relation
@@ -187,9 +187,9 @@ class IncDC:
                     self.relation.row(rid_t), self.relation.row(rid_u)
                 )
             )
-        sigma = SetTrie(self.sigma_masks)
+        sigma = IncidenceSet(self.sigma_masks)
         refine_sigma(self.space, sigma, evidence_masks)
-        self.sigma_masks = sorted(sigma.masks())
+        self.sigma_masks = sorted(sigma)
         self._plans = [
             (mask, self.space.predicates_of(mask)) for mask in self.sigma_masks
         ]

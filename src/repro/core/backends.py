@@ -4,7 +4,9 @@ Both backends maintain the minimal-DC antichain across evidence-set
 changes; :class:`DynEIBackend` is the paper's contribution (Section VI),
 :class:`DynHSBackend` the dynamic hitting-set baseline [19].  The
 discoverer talks to them through three methods: ``bootstrap``, ``insert``,
-and ``delete``.
+and ``delete``; the last two return the net
+:class:`~repro.enumeration.incidence.SigmaDelta` they applied, so the
+discoverer never copies or diffs Σ.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from typing import AbstractSet, FrozenSet, Iterable, List, Sequence
 
 from repro.enumeration.dynamic import dynei_delete
 from repro.enumeration.dynamic_hs import DynHS
+from repro.enumeration.incidence import NO_DELTA, IncidenceSet, SigmaDelta
 from repro.enumeration.inversion import maximal_masks, refine_sigma
 from repro.enumeration.mmcs import mmcs_enumerate
-from repro.enumeration.settrie import SetTrie
 from repro.predicates.space import PredicateSpace
 
 
@@ -34,46 +36,48 @@ class DynEIBackend:
 
     def __init__(self, space: PredicateSpace):
         self._space = space
-        self._trie = SetTrie()
+        self._sigma = IncidenceSet()
 
     def bootstrap(self, evidence_masks: Iterable[int]) -> None:
-        self._trie = SetTrie(mmcs_enumerate(self._space, evidence_masks))
+        self._sigma = IncidenceSet(mmcs_enumerate(self._space, evidence_masks))
 
-    def insert(self, new_evidence_masks: Sequence[int], remaining_unused=None) -> None:
-        # The antichain trie persists across batches, so an insert only
-        # pays for the evidences it actually folds in (Algorithm 2).
-        if new_evidence_masks:
-            refine_sigma(
-                self._space, self._trie, maximal_masks(new_evidence_masks)
-            )
+    def insert(
+        self, new_evidence_masks: Sequence[int], remaining_unused=None
+    ) -> SigmaDelta:
+        # Σ persists across batches, so an insert only pays for the
+        # evidences it actually folds in (Algorithm 2).
+        if not new_evidence_masks:
+            return NO_DELTA
+        return refine_sigma(
+            self._space, self._sigma, maximal_masks(new_evidence_masks)
+        )
 
     def delete(
         self,
         removed_evidence_masks: Sequence[int],
         remaining_evidence_masks: Iterable[int],
-    ) -> None:
-        # Like insert, the delete applies its Σ delta to the persistent
-        # trie in place.
-        dynei_delete(
+    ) -> SigmaDelta:
+        # Like insert, the delete applies its Σ delta in place.
+        return dynei_delete(
             self._space,
-            self._trie,
+            self._sigma,
             removed_evidence_masks,
             remaining_evidence_masks,
         )
 
     @property
     def masks(self) -> List[int]:
-        return sorted(self._trie.masks())
+        return sorted(self._sigma)
 
     @property
     def mask_set(self) -> AbstractSet[int]:
-        return self._trie.mask_set
+        return self._sigma.mask_set
 
     def set_masks(
         self, masks: Sequence[int], evidence_masks: Iterable[int] = ()
     ) -> None:
         """Restore a previously saved antichain (state deserialization)."""
-        self._trie = SetTrie(masks)
+        self._sigma = IncidenceSet(masks)
 
 
 class DynHSBackend:
@@ -88,17 +92,27 @@ class DynHSBackend:
     def bootstrap(self, evidence_masks: Iterable[int]) -> None:
         self._enumerator = DynHS(self._space, evidence_masks)
 
-    def insert(self, new_evidence_masks: Sequence[int], remaining_unused=None) -> None:
+    def insert(
+        self, new_evidence_masks: Sequence[int], remaining_unused=None
+    ) -> SigmaDelta:
+        before = set(self._enumerator.dc_mask_set)
         self._enumerator.insert_evidence(new_evidence_masks)
+        return self._delta_since(before)
 
     def delete(
         self,
         removed_evidence_masks: Sequence[int],
         remaining_evidence_masks: Iterable[int],
-    ) -> None:
+    ) -> SigmaDelta:
+        before = set(self._enumerator.dc_mask_set)
         self._enumerator.delete_evidence(
             removed_evidence_masks, remaining_evidence_masks
         )
+        return self._delta_since(before)
+
+    def _delta_since(self, before: set) -> SigmaDelta:
+        after = self._enumerator.dc_mask_set
+        return SigmaDelta(after - before, before - after)
 
     @property
     def masks(self) -> List[int]:
@@ -135,15 +149,17 @@ class FixedSigmaBackend:
     def bootstrap(self, evidence_masks: Iterable[int]) -> None:
         pass
 
-    def insert(self, new_evidence_masks: Sequence[int], remaining_unused=None) -> None:
-        pass
+    def insert(
+        self, new_evidence_masks: Sequence[int], remaining_unused=None
+    ) -> SigmaDelta:
+        return NO_DELTA
 
     def delete(
         self,
         removed_evidence_masks: Sequence[int],
         remaining_evidence_masks: Iterable[int],
-    ) -> None:
-        pass
+    ) -> SigmaDelta:
+        return NO_DELTA
 
     @property
     def masks(self) -> List[int]:

@@ -27,6 +27,7 @@ from repro.core.results import DiscoveryResult, UpdateResult
 from repro.dcs.denial_constraint import DenialConstraint
 from repro.dcs.ranking import DCScore, rank_dcs
 from repro.dcs.approximate import approximate_dcs
+from repro.enumeration.incidence import NO_DELTA
 from repro.evidence.builder import build_evidence_state
 from repro.evidence.deletes import (
     apply_delete_evidence,
@@ -148,6 +149,7 @@ class DCDiscoverer:
         self.space: Optional[PredicateSpace] = None
         self._state = None
         self._backend = None
+        self._sigma_version = 0
         self._fitted = False
         self._monitors = []
         self._watchers = []
@@ -190,6 +192,7 @@ class DCDiscoverer:
                 )
                 self._backend.bootstrap(list(self._state.evidence))
         self._fitted = True
+        self._sigma_version += 1
         self._record_state_gauges()
         report = instrumentation.finish_operation("fit", root, before)
         logger.debug(
@@ -282,6 +285,7 @@ class DCDiscoverer:
                 self._backend.set_masks(self._resolve_constraint_masks())
                 self._seed_verify_watcher()
         self._fitted = True
+        self._sigma_version += 1
         self._record_state_gauges()
         report = instrumentation.finish_operation("fit", root, before)
         logger.debug(
@@ -317,7 +321,6 @@ class DCDiscoverer:
             return self._insert_verify(rows)
         instrumentation = self.instrumentation
         before = instrumentation.begin_operation()
-        previous_masks = set(self._backend.mask_set)
 
         with instrumentation.activate(), span("insert") as root:
             with span("evidence"):
@@ -350,13 +353,13 @@ class DCDiscoverer:
                     for watcher in self._watchers:
                         watcher.on_insert(new_rids)
             with span("enumeration", {"einc_size": len(new_masks)}):
-                self._backend.insert(new_masks)
+                sigma_delta = self._backend.insert(new_masks)
 
         instrumentation.inc("discoverer.inserts")
         instrumentation.inc("discoverer.rows_inserted", len(new_rids))
         instrumentation.inc("enumeration.einc_size", len(new_masks))
         return self._update_result(
-            "insert", new_rids, len(new_masks), previous_masks, root, before
+            "insert", new_rids, len(new_masks), sigma_delta, root, before
         )
 
     def delete(self, rids: Iterable[int]) -> UpdateResult:
@@ -378,7 +381,6 @@ class DCDiscoverer:
             raise ValueError("duplicate rids in delete batch")
         instrumentation = self.instrumentation
         before = instrumentation.begin_operation()
-        previous_masks = set(self._backend.mask_set)
 
         with instrumentation.activate(), span("delete") as root:
             with span("evidence", {"batch_rows": len(rid_list)}):
@@ -413,7 +415,7 @@ class DCDiscoverer:
                     for watcher in self._watchers:
                         watcher.on_delete(rid_list)
             with span("enumeration", {"einc_size": len(removed_masks)}):
-                self._backend.delete(
+                sigma_delta = self._backend.delete(
                     removed_masks, list(self._state.evidence)
                 )
 
@@ -421,7 +423,7 @@ class DCDiscoverer:
         instrumentation.inc("discoverer.rows_deleted", len(rid_list))
         instrumentation.inc("enumeration.einc_size", len(removed_masks))
         return self._update_result(
-            "delete", rid_list, len(removed_masks), previous_masks, root, before
+            "delete", rid_list, len(removed_masks), sigma_delta, root, before
         )
 
     def _insert_verify(self, rows: Iterable[Sequence]) -> UpdateResult:
@@ -429,7 +431,6 @@ class DCDiscoverer:
         of the tracked DCs — no evidence work, no enumeration."""
         instrumentation = self.instrumentation
         before = instrumentation.begin_operation()
-        previous_masks = set(self._backend.mask_set)
         with instrumentation.activate(), span("insert") as root:
             with span("evidence"):
                 new_rids = self.relation.insert(rows)
@@ -449,7 +450,7 @@ class DCDiscoverer:
         instrumentation.inc("discoverer.rows_inserted", len(new_rids))
         instrumentation.inc("verification.new_violations", n_new_pairs)
         return self._update_result(
-            "insert", new_rids, 0, previous_masks, root, before
+            "insert", new_rids, 0, NO_DELTA, root, before
         )
 
     def _delete_verify(self, rids: Iterable[int]) -> UpdateResult:
@@ -463,7 +464,6 @@ class DCDiscoverer:
             raise ValueError("duplicate rids in delete batch")
         instrumentation = self.instrumentation
         before = instrumentation.begin_operation()
-        previous_masks = set(self._backend.mask_set)
         with instrumentation.activate(), span("delete") as root:
             with span("evidence", {"batch_rows": len(rid_list)}):
                 if rid_list:
@@ -482,7 +482,7 @@ class DCDiscoverer:
         instrumentation.inc("discoverer.rows_deleted", len(rid_list))
         instrumentation.inc("verification.cleared_violations", n_cleared)
         return self._update_result(
-            "delete", rid_list, 0, previous_masks, root, before
+            "delete", rid_list, 0, NO_DELTA, root, before
         )
 
     def update(
@@ -493,11 +493,12 @@ class DCDiscoverer:
         return self.delete(delete_rids), self.insert(insert_rows)
 
     def _update_result(
-        self, kind, rids, n_changed, previous_masks, root, before
+        self, kind, rids, n_changed, sigma_delta, root, before
     ) -> UpdateResult:
-        current = self._backend.mask_set
-        n_new = len(current - previous_masks)
-        n_removed = len(previous_masks) - len(current) + n_new
+        n_new = len(sigma_delta.added)
+        n_removed = len(sigma_delta.removed)
+        if sigma_delta:
+            self._sigma_version += 1
         instrumentation = self.instrumentation
         instrumentation.inc("discoverer.dcs_added", n_new)
         instrumentation.inc("discoverer.dcs_removed", n_removed)
@@ -513,7 +514,7 @@ class DCDiscoverer:
             n_rows=len(self.relation),
             n_evidence=len(self._state.evidence),
             n_evidence_changed=n_changed,
-            n_dcs=len(current),
+            n_dcs=len(self._backend.mask_set),
             n_new_dcs=n_new,
             n_removed_dcs=n_removed,
             rids=list(rids),
@@ -545,6 +546,12 @@ class DCDiscoverer:
         self._require_fitted()
         masks = self._backend.mask_set
         return masks - {0} if 0 in masks else masks
+
+    @property
+    def sigma_version(self) -> int:
+        """A counter that every call changing Σ bumps: two reads of one
+        discoverer that see the same version see the same Σ."""
+        return self._sigma_version
 
     @property
     def n_dcs(self) -> int:

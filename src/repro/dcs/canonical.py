@@ -110,7 +110,7 @@ class CanonicalCover:
 
     def masks(self) -> List[int]:
         """The cover, sorted."""
-        return sorted(self._minimal.mask_set)
+        return sorted(self._minimal)
 
     def apply(self, added: Iterable[int], removed: Iterable[int]) -> CoverDelta:
         """Add and remove raw masks; ``removed`` must have been added."""

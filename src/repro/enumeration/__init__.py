@@ -15,10 +15,12 @@ Four independently derived enumerators over evidence sets:
   search [4].
 
 All return DC predicate-set bitmasks over a
-:class:`~repro.predicates.space.PredicateSpace`.
+:class:`~repro.predicates.space.PredicateSpace`.  DynEI keeps Σ in an
+:class:`~repro.enumeration.incidence.IncidenceSet`.
 """
 
 from repro.enumeration.settrie import SetTrie
+from repro.enumeration.incidence import IncidenceSet, SigmaDelta
 from repro.enumeration.inversion import invert_evidence, minimize_masks, refine_sigma
 from repro.enumeration.dynamic import dynei_delete, dynei_insert
 from repro.enumeration.mmcs import complement_edges, mmcs_enumerate, mmcs_hitting_sets
@@ -27,6 +29,8 @@ from repro.enumeration.dfs import dfs_enumerate
 
 __all__ = [
     "SetTrie",
+    "IncidenceSet",
+    "SigmaDelta",
     "invert_evidence",
     "minimize_masks",
     "refine_sigma",

@@ -12,12 +12,18 @@ Operates on evidence-set *changes*, not tuples:
   ``φ`` is valid) [7], [8], [19].  DCs for which a removed evidence was
   critical are dropped, exactly as in the paper.
 
+Both work on Σ held as per-predicate incidence bitsets
+(:class:`~repro.enumeration.incidence.IncidenceSet`) and return the net
+Σ delta they applied.
+
 The delete answers every question from the evidence set, never from the
 relation, in four steps:
 
-1. **Flag.**  One pass over ``Σ`` records each DC's *flagged* predicates:
-   the ``p`` for which some removed evidence contained ``φ ∖ {p}``.  A DC
-   with a flagged predicate is dropped.
+1. **Flag.**  Each DC's *flagged* predicates are the ``p`` for which
+   some removed evidence contained ``φ ∖ {p}``: per removed evidence, the
+   DCs that meet its complement in exactly one predicate, read off the
+   bitsets with one bit-sliced count.  A DC with a flagged predicate is
+   dropped.
 2. **Re-check flagged predicates only.**  A dropped DC is re-added iff,
    for every flagged ``p``, some *remaining* evidence still contains
    ``φ ∖ {p}`` (:func:`lost_critical_predicate`; the scan stops at the
@@ -43,8 +49,8 @@ relation, in four steps:
    hitting sets of the remaining-evidence complements restricted to
    subsets of ``r`` (:func:`regrow`).
 4. **Apply the delta in place.**  The dropped DCs that failed the
-   re-check leave the trie and the re-grown masks enter it; nothing else
-   of ``Σ`` is touched.
+   re-check leave Σ and the re-grown masks enter it; nothing else of
+   ``Σ`` is touched.
 
 No final minimization is needed, because every mask in the result is
 minimal for ``E_left``:
@@ -58,7 +64,7 @@ minimal for ``E_left``:
   ``m'`` is invalid.
 
 Distinct masks that are all minimal-valid for the same evidence set are
-pairwise incomparable, so the updated trie is already the antichain.  It
+pairwise incomparable, so the updated Σ is already the antichain.  It
 is also complete: a DC minimal for ``E_left`` was either in ``Σ`` (then
 it survived or passed the re-check) or lies inside a removed evidence
 (then the re-grow found it).
@@ -68,9 +74,15 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+from repro.bitmaps.bitutils import iter_bits
+from repro.enumeration.incidence import (
+    NO_DELTA,
+    IncidenceSet,
+    SigmaDelta,
+    iter_slots,
+)
 from repro.enumeration.inversion import maximal_masks, refine_sigma
 from repro.enumeration.mmcs import mmcs_hitting_sets
-from repro.enumeration.settrie import SetTrie
 from repro.observability.probe import get_probe
 from repro.predicates.space import PredicateSpace
 
@@ -87,9 +99,9 @@ def dynei_insert(
         insert that did not exist before (from
         :func:`repro.evidence.incremental.apply_insert_evidence`).
     """
-    sigma = SetTrie(sigma_masks)
+    sigma = IncidenceSet(sigma_masks)
     refine_sigma(space, sigma, maximal_masks(new_evidence_masks))
-    return sorted(sigma.masks())
+    return sorted(sigma)
 
 
 def lost_critical_predicate(
@@ -147,13 +159,13 @@ def regrow(
 
 def dynei_delete(
     space: PredicateSpace,
-    sigma: SetTrie,
+    sigma: IncidenceSet,
     removed_evidence_masks: Sequence[int],
     remaining_evidence_masks: Iterable[int],
-) -> SetTrie:
+) -> SigmaDelta:
     """Update the DC antichain ``sigma`` after a delete batch (in place).
 
-    Returns ``sigma``.
+    Returns the net change to Σ.
 
     :param sigma: the minimal DC masks valid before the delete.
     :param removed_evidence_masks: evidence masks whose multiplicity
@@ -163,42 +175,47 @@ def dynei_delete(
         the evidence set (``E^left``).
     """
     if not removed_evidence_masks:
-        return sigma
+        return NO_DELTA
 
     # (1) Flag: a removed evidence was critical for predicate p of a DC
     # iff it contained every other predicate, i.e. the DC meets its
     # complement in exactly p.
     full_mask = space.full_mask
-    complements = [full_mask & ~evidence for evidence in removed_evidence_masks]
-    dropped = []
-    for dc_mask in sigma.mask_set:
-        flagged = 0
-        for complement in complements:
-            hit = dc_mask & complement
-            if hit & (hit - 1) == 0:
-                flagged |= hit
-        if flagged:
-            dropped.append((dc_mask, flagged))
+    columns = sigma.columns
+    flagged_at = {}
+    for evidence in removed_evidence_masks:
+        complement = full_mask & ~evidence
+        _, single = sigma.count_outside(complement)
+        for bit in iter_bits(complement):
+            if bit >= len(columns):
+                break
+            for slot in iter_slots(columns[bit] & single):
+                flagged_at[slot] = flagged_at.get(slot, 0) | (1 << bit)
+    dropped = [
+        (sigma.mask_at(slot), flagged) for slot, flagged in flagged_at.items()
+    ]
 
     # (2) Re-check the flagged predicates against the remaining
-    # evidence; a DC that lost a critical evidence leaves the trie.
+    # evidence; a DC that lost a critical evidence leaves Σ.
     remaining = list(remaining_evidence_masks)
     rechecks = 0
     readded = 0
+    removed = set()
     for dc_mask, flagged in dropped:
         lost = lost_critical_predicate(dc_mask, flagged, remaining)
         if lost:
             # Predicates are checked in ascending order up to the lost one.
             rechecks += (flagged & ((lost << 1) - 1)).bit_count()
             sigma.remove(dc_mask)
+            removed.add(dc_mask)
         else:
             rechecks += flagged.bit_count()
             readded += 1
 
-    # (3) Targeted re-grow; the new minimal DCs enter the trie.
+    # (3) Targeted re-grow; the new minimal DCs enter Σ (a mask inside
+    # two removed evidences is found twice).
     new_masks = regrow(space, removed_evidence_masks, remaining)
-    for mask in new_masks:
-        sigma.insert(mask)
+    added = {mask for mask in new_masks if sigma.insert(mask)}
 
     probe = get_probe()
     if probe is not None:
@@ -206,4 +223,4 @@ def dynei_delete(
         probe.inc("enumeration.dcs_readded", readded)
         probe.inc("enumeration.dcs_regrown", len(new_masks))
         probe.inc("enumeration.critical_rechecks", rechecks)
-    return sigma
+    return SigmaDelta(added, removed)

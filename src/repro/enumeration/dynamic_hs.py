@@ -8,8 +8,8 @@ does for its baseline comparison.  The structural contrast with DynEI:
   explicit list of *critical* hyperedges, and must touch **every** DC on
   **every** evidence change to keep those lists exact;
 - DynEI touches only the DCs a new evidence actually violates (found via
-  the set-trie) and answers minimality with subset queries instead of
-  criticality bookkeeping.
+  its per-predicate incidence bitsets) and answers minimality with
+  subset queries instead of criticality bookkeeping.
 
 That per-change Σ-wide scan is what makes DynHS slower on DC workloads
 with large Σ (Figures 11 and 12).

@@ -13,9 +13,10 @@ no minimal non-trivial DC.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.bitmaps.bitutils import iter_bits
+from repro.enumeration.incidence import IncidenceSet, SigmaDelta, iter_slots
 from repro.enumeration.settrie import SetTrie
 from repro.observability.probe import get_probe
 from repro.predicates.space import PredicateSpace
@@ -23,74 +24,92 @@ from repro.predicates.space import PredicateSpace
 
 def refine_sigma(
     space: PredicateSpace,
-    sigma: SetTrie,
+    sigma: IncidenceSet,
     evidence_masks: Iterable[int],
-    blocking_sigma: Optional[SetTrie] = None,
-) -> SetTrie:
+) -> SigmaDelta:
     """Fold ``evidence_masks`` into the DC antichain ``sigma`` (in place).
 
-    This is the core loop shared by the static EI bootstrap and the DynEI
-    insert/delete passes (Algorithm 2 lines 3-9).  Returns ``sigma``.
+    This is the core loop shared by the static EI pass, DynEI's insert
+    and IncDC (Algorithm 2 lines 3-9).  Returns the net change to Σ.
 
-    :param blocking_sigma: an additional trie of DCs that are known valid
-        for every mask in ``evidence_masks`` and should prune candidates
-        but never be refined themselves.  DynEI's delete pass passes the
-        surviving DCs here so the re-grow loop only carries the (small)
-        working set of seed descendants.
+    Per evidence ``e``, one bit-sliced count over the columns outside
+    ``e`` gives the violated DCs and the *blockers*, the DCs with exactly
+    one predicate ``p`` outside ``e``.  A refinement ``v ∪ {p}`` of a
+    violated ``v`` is dominated (line 8) exactly when some blocker with
+    outside predicate ``p`` has its inside part within ``v``.  Both that
+    test and the trivial-DC pruning run column-wise over the violated
+    DCs: bit ``j`` of ``within[q]`` says that the ``j``-th violated DC
+    contains ``q``, so the violated DCs containing a mask are one AND
+    per predicate of the mask.
     """
     full_mask = space.full_mask
-    satisfiable_with = space.satisfiable_with
+    conflicts = space.conflicts
+    columns = sigma.columns
+    mask_at = sigma.mask_at
     probe = get_probe()
     evidences_folded = 0
     dcs_refined = 0
     candidates_inserted = 0
+    added = set()
+    removed = set()
     for evidence in evidence_masks:
         evidences_folded += 1
-        violated = sigma.subsets_of(evidence)
-        if not violated:
+        outside = full_mask & ~evidence
+        violated_slots, blocker_slots = sigma.count_outside(outside)
+        if not violated_slots:
             continue
+        violated = [mask_at(slot) for slot in iter_slots(violated_slots)]
         dcs_refined += len(violated)
-        # Candidates are dominated ("line 8" of Algorithm 2) exactly by
-        # DCs with a single predicate outside the evidence: a dominating
-        # σ ⊆ v∪{p} with v ⊆ e satisfies σ∖e ⊆ {p}, and σ∖e = ∅ would
-        # mean σ itself is violated (and removed).  One linear int-op pass
-        # over the antichain collects all of them, bucketed by that
-        # outside bit — cheaper than a trie traversal for this
-        # whole-collection scan in CPython.
-        blocker_buckets = {}
-        outside_space = ~evidence
-        for stored in sigma.mask_set:
-            outside = stored & outside_space
-            if outside and outside & (outside - 1) == 0:
-                blocker_buckets.setdefault(
-                    outside.bit_length() - 1, []
-                ).append(stored & evidence)
-        if blocking_sigma is not None:
-            for stored in blocking_sigma.mask_set:
-                outside = stored & outside_space
-                if outside and outside & (outside - 1) == 0:
-                    blocker_buckets.setdefault(
-                        outside.bit_length() - 1, []
-                    ).append(stored & evidence)
+        within = [0] * space.n_bits
+        in_some = 0
+        for position, dc_mask in enumerate(violated):
+            member = 1 << position
+            in_some |= dc_mask
+            for bit in iter_bits(dc_mask):
+                within[bit] |= member
+        in_none = full_mask & ~in_some
+
+        def containing(mask: int, among: int) -> int:
+            """The violated DCs of ``among`` that contain ``mask``."""
+            while mask and among:
+                low = mask & -mask
+                among &= within[low.bit_length() - 1]
+                mask ^= low
+            return among
+
+        candidates = []
+        for bit in iter_bits(outside):
+            refinable = (1 << len(violated)) - 1
+            for conflict in conflicts[bit]:
+                refinable &= ~containing(conflict, refinable)
+            if refinable and bit < len(columns):
+                for slot in iter_slots(columns[bit] & blocker_slots):
+                    inside = mask_at(slot) & evidence
+                    if inside & in_none:
+                        continue  # no violated DC holds all of it
+                    refinable &= ~containing(inside, refinable)
+                    if not refinable:
+                        break
+            extension = 1 << bit
+            for position in iter_bits(refinable):
+                candidates.append(violated[position] | extension)
+        candidates_inserted += len(candidates)
         for dc_mask in violated:
             sigma.remove(dc_mask)
-        complement = full_mask & ~evidence
-        for dc_mask in violated:
-            for bit in iter_bits(complement):
-                if not satisfiable_with(dc_mask, bit):
-                    continue
-                blockers = blocker_buckets.get(bit)
-                if blockers is not None and any(
-                    inside & ~dc_mask == 0 for inside in blockers
-                ):
-                    continue
-                sigma.insert(dc_mask | (1 << bit))
-                candidates_inserted += 1
+            # A DC an earlier evidence of the batch added leaves no trace.
+            if dc_mask in added:
+                added.discard(dc_mask)
+            else:
+                removed.add(dc_mask)
+        for candidate in candidates:
+            # Never stored already: an equal stored mask would block it.
+            sigma.insert(candidate)
+            added.add(candidate)
     if probe is not None:
         probe.inc("enumeration.evidence_folded", evidences_folded)
         probe.inc("enumeration.dcs_refined", dcs_refined)
         probe.inc("enumeration.candidates_inserted", candidates_inserted)
-    return sigma
+    return SigmaDelta(added, removed)
 
 
 def maximal_masks(masks: Iterable[int]) -> List[int]:
@@ -124,21 +143,11 @@ def minimize_masks(masks: Iterable[int]) -> List[int]:
 
 
 def invert_evidence(
-    space: PredicateSpace,
-    evidence_masks: Iterable[int],
-    seed_masks: Optional[Iterable[int]] = None,
+    space: PredicateSpace, evidence_masks: Iterable[int]
 ) -> List[int]:
-    """Enumerate all minimal, non-trivial DC masks valid for the evidence.
-
-    With the default seed (the empty predicate set) this is the static EI
-    algorithm.  A custom ``seed_masks`` antichain turns it into the re-grow
-    pass used by DynEI's delete case; the result is minimized at the end
-    because a seeded run may temporarily hold comparable sets.
-    """
-    if seed_masks is None:
-        sigma = SetTrie([0])
-    else:
-        sigma = SetTrie(seed_masks)
+    """Enumerate all minimal, non-trivial DC masks valid for the evidence:
+    the static EI algorithm, refining the empty predicate set."""
+    sigma = IncidenceSet([0])
     # Only maximal evidences can violate anything; maximal_masks also
     # returns them largest-first, which keeps the antichain small through
     # most of the pass (small complements spawn few refinements).
@@ -146,4 +155,4 @@ def invert_evidence(
     # The empty mask survives only when there is no evidence at all (fewer
     # than two alive tuples).  It is kept here — the antichain invariant of
     # the dynamic passes needs it — and filtered at the presentation layer.
-    return sorted(minimize_masks(sigma.masks()))
+    return sorted(sigma)

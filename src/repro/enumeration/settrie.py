@@ -1,14 +1,13 @@
 """Set-trie over predicate bitmasks for fast subset/superset queries.
 
-DynEI's two hot operations (Algorithm 2, Section VI-C) are:
-
-- line 4 — find the DCs *contained in* an evidence (a subset query), and
-- line 8 — check whether a candidate *contains* any current DC (a subset
-  existence query).
-
-Both are answered by this trie, the structure of [2]: a path of ascending
-bit indices per stored set, so a subset query only descends through
-branches whose bit is present in the query mask.
+The structure of [2]: a path of ascending bit indices per stored set, so
+a subset query only descends through branches whose bit is present in
+the query mask.  It holds the minimal forms of the canonical cover
+(:class:`~repro.dcs.canonical.CanonicalCover`), whose subset and
+superset queries are one mask at a time, and serves
+:func:`~repro.enumeration.inversion.minimize_masks`.  DynEI's Σ, queried
+for whole evidences at once, lives in per-predicate incidence bitsets
+instead (:mod:`repro.enumeration.incidence`).
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class SetTrie:
     def __init__(self, masks=None):
         self._root = _Node()
         self._size = 0
-        # Mirror of the stored masks as a plain set: linear int-op passes
-        # over it beat trie traversals for whole-collection scans in
-        # CPython (see refine_sigma's blocker collection).
-        self._mask_set = set()
         if masks is not None:
             for mask in masks:
                 self.insert(mask)
@@ -76,7 +71,6 @@ class SetTrie:
             return False
         node.terminal = True
         self._size += 1
-        self._mask_set.add(mask)
         return True
 
     def remove(self, mask: int) -> None:
@@ -93,7 +87,6 @@ class SetTrie:
             raise KeyError(f"mask {mask:#x} not in set-trie")
         node.terminal = False
         self._size -= 1
-        self._mask_set.discard(mask)
         # Prune now-dead branches bottom-up.
         for parent, bit in reversed(path):
             child = parent.children[bit]
@@ -171,9 +164,4 @@ class SetTrie:
 
     def masks(self) -> List[int]:
         """All stored masks (unordered)."""
-        return list(self._mask_set)
-
-    @property
-    def mask_set(self):
-        """The stored masks as a set (do not mutate)."""
-        return self._mask_set
+        return list(self)

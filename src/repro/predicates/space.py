@@ -15,13 +15,15 @@ fast:
   lookup tables.
 - **Satisfiable patterns**: per group, the operator subsets a real tuple
   pair can satisfy (Trichotomy Law); candidates whose bits violate them
-  are trivial DCs and are pruned at generation time.
+  are trivial DCs and are pruned at generation time.  Per predicate they
+  are precomputed as *conflict sets* (:attr:`PredicateSpace.conflicts`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from repro.bitmaps.bitutils import iter_bits
 from repro.predicates.operator import (
     CATEGORICAL_OPERATORS,
     CATEGORICAL_PATTERNS,
@@ -139,6 +141,11 @@ class PredicateSpace:
                     ]
         self.sym = self._build_symmetry_permutation()
         self._sym_tables = self._build_symmetry_tables()
+        #: ``conflicts[p]``: the minimal masks ``C`` of predicates of
+        #: ``p``'s group such that ``C ∪ {p}`` is unsatisfiable.  A
+        #: satisfiable mask stays satisfiable with ``p`` added iff it
+        #: contains none of them (see :meth:`satisfiable_with`).
+        self.conflicts = self._build_conflicts()
 
     # -- construction helpers -------------------------------------------------
 
@@ -172,6 +179,30 @@ class PredicateSpace:
                 table[byte_value] = mask
             tables.append(table)
         return tables
+
+    def _build_conflicts(self) -> list:
+        conflicts = [()] * self.n_bits
+        for group in self.groups:
+            # Enumerate the group's 2^|group| subsets (|group| <= 6).
+            unsatisfiable = []
+            subset = group.mask
+            while subset:
+                if not any(subset & ~pattern == 0 for pattern in group.patterns):
+                    unsatisfiable.append(subset)
+                subset = (subset - 1) & group.mask
+            minimal = [
+                mask
+                for mask in unsatisfiable
+                if not any(
+                    other != mask and other & mask == other
+                    for other in unsatisfiable
+                )
+            ]
+            for bit in iter_bits(group.mask):
+                conflicts[bit] = tuple(
+                    sorted(mask ^ (1 << bit) for mask in minimal if (mask >> bit) & 1)
+                )
+        return conflicts
 
     # -- bit-level API ----------------------------------------------------------
 
@@ -219,11 +250,13 @@ class PredicateSpace:
 
     def satisfiable_with(self, mask: int, bit: int) -> bool:
         """Whether ``mask | (1 << bit)`` stays satisfiable, given that
-        ``mask`` already is.  Only the group of ``bit`` needs rechecking
-        because satisfiability is per-group."""
-        group = self.group_of_bit[bit]
-        bits = (mask | (1 << bit)) & group.mask
-        return any(bits & ~pattern == 0 for pattern in group.patterns)
+        ``mask`` already is: it must contain none of ``bit``'s conflict
+        sets, since satisfiability is per group and any unsatisfiable
+        subset of the result contains ``bit``."""
+        for conflict in self.conflicts[bit]:
+            if mask & conflict == conflict:
+                return False
+        return True
 
     def satisfiable(self, mask: int) -> bool:
         """Whether some tuple-pair valuation can satisfy all predicates in

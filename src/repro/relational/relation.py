@@ -6,6 +6,9 @@ all key on rids, so a delete must not shift ids.  Deleted slots keep their
 storage (values of dead rows are retained — delete maintenance needs to
 recompute the evidence the dying tuples produced) but are excluded from the
 ``alive`` bitmap, iteration, and indexes built afterwards.
+
+The columns are therefore append-only and a rid's values never change,
+which is what lets :meth:`Relation.snapshot` share them.
 """
 
 from __future__ import annotations
@@ -84,9 +87,11 @@ class Relation:
                     f"row arity {len(row)} does not match schema arity "
                     f"{len(self.schema)}"
                 )
-            for position, (value, column) in enumerate(zip(row, self.schema)):
+            # Check the whole row first: a rejected row appends nothing.
+            for value, column in zip(row, self.schema):
                 self._check_value(value, column.ctype, column.name)
-                self._columns[position].append(canonical_value(value))
+            for values, value in zip(self._columns, row):
+                values.append(canonical_value(value))
             rid = self._next_rid
             self._next_rid += 1
             self._alive.add(rid)
@@ -169,6 +174,20 @@ class Relation:
 
     # -- derivation ------------------------------------------------------------
 
+    def snapshot(self) -> "Relation":
+        """A read-only view of the current rows that copies none of them.
+
+        The view shares the column lists, which later inserts only append
+        to past its ``next_rid``, and copies the alive bitmap, which
+        later deletes clear bits of.  It raises on ``insert``/``delete``.
+        """
+        view = _RelationView.__new__(_RelationView)
+        view.schema = self.schema
+        view._columns = self._columns
+        view._alive = self._alive.copy()
+        view._next_rid = self._next_rid
+        return view
+
     def project(self, names: Sequence[str]) -> "Relation":
         """New relation with only ``names`` columns and only alive rows.
 
@@ -198,3 +217,13 @@ class Relation:
             f"Relation({len(self.schema)} columns, {len(self)} alive rows, "
             f"next_rid={self._next_rid})"
         )
+
+
+class _RelationView(Relation):
+    """What :meth:`Relation.snapshot` returns: its columns are shared."""
+
+    def insert(self, rows: Iterable[Sequence]) -> list:
+        raise TypeError("a relation snapshot is read-only")
+
+    def delete(self, rids: Iterable[int]) -> list:
+        raise TypeError("a relation snapshot is read-only")

@@ -5,8 +5,12 @@ and publishes it with a single reference assignment (atomic under the
 GIL).  Read endpoints grab the current reference and work on that object
 alone, so reads never block on — and are never blocked by — the writer:
 
-- the relation copy and the cloned column indexes share no mutable
-  structure with the live engine (see
+- the relation is a view over the live relation's append-only columns
+  (:meth:`~repro.relational.relation.Relation.snapshot`): it shares
+  the column lists, which the writer only appends to past the view's
+  ``next_rid``, and owns a copy of the alive bitmap;
+- the cloned column indexes share no mutable structure with the live
+  engine (see
   :meth:`~repro.evidence.indexes.ColumnIndexes.snapshot_clone`);
 - the evidence multiset is copied (counts dict), so rankings computed
   from a snapshot are rankings *of that seq*, not of whatever the writer
@@ -16,7 +20,8 @@ alone, so reads never block on — and are never blocked by — the writer:
   the initial distributions, Section III), so sharing is safe;
 - Σ (``dc_masks``, sorted) and its canonical cover (``canonical``) are
   lists nobody mutates, so a snapshot whose Σ did not change shares
-  them with its predecessor; the writer's
+  them with its predecessor (the discoverer's ``sigma_version`` tells
+  in O(1)); the writer's
   :class:`~repro.dcs.canonical.CanonicalCover` that derives them is
   never reachable from a snapshot.
 
@@ -61,6 +66,7 @@ class Snapshot:
         "canonical",
         "evidence",
         "status",
+        "sigma_version",
         "_rank_cache",
         "_verify_cache",
     )
@@ -75,6 +81,7 @@ class Snapshot:
         canonical: List[DenialConstraint],
         evidence: EvidenceSet,
         status: dict,
+        sigma_version: Optional[int] = None,
     ):
         self.seq = seq
         self.created_at = time.time()
@@ -85,6 +92,8 @@ class Snapshot:
         self.canonical = canonical
         self.evidence = evidence
         self.status = status
+        #: The discoverer's ``sigma_version`` that ``dc_masks`` reflect.
+        self.sigma_version = sigma_version
         self._rank_cache = {}
         self._verify_cache = {}
 
@@ -286,11 +295,6 @@ def _rid_list(bits: int, limit: Optional[int]) -> List[int]:
     return rids
 
 
-def _copy_relation(relation: Relation) -> Relation:
-    rows = {rid: relation.row(rid) for rid in relation.rids()}
-    return Relation.from_sparse_rows(relation.schema, rows, relation.next_rid)
-
-
 def build_snapshot(
     session,
     previous: Optional[Snapshot] = None,
@@ -303,21 +307,25 @@ def build_snapshot(
 
     ``cover`` is the writer's :class:`~repro.dcs.canonical.CanonicalCover`
     and ``previous`` the snapshot it last published with it (``None``
-    with a fresh cover).  Σ is then diffed against ``previous.dc_masks``
-    and only the diff goes through the cover, so publication costs
-    O(ΔΣ) plus a linear scan; an unchanged Σ reuses the previous lists.
-    Without a cover, Σ is canonicalized from scratch.
+    with a fresh cover).  A Σ at ``previous``'s ``sigma_version`` reuses
+    the previous lists, an O(1) check.  Otherwise Σ is diffed against
+    ``previous.dc_masks`` and only the diff goes through the cover, so
+    publication costs O(ΔΣ) plus a linear scan.  Without a cover, Σ is
+    canonicalized from scratch.
     """
     discoverer = session.discoverer
     space = discoverer.space
-    relation_copy = _copy_relation(discoverer.relation)
-    indexes = discoverer.engine_state.indexes.snapshot_clone(relation_copy)
+    relation = discoverer.relation.snapshot()
+    indexes = discoverer.engine_state.indexes.snapshot_clone(relation)
+    sigma_version = discoverer.sigma_version
     if cover is None:
         dc_masks = discoverer.dc_masks
         canonical = [
             DenialConstraint(mask, space)
             for mask in canonicalize_masks(dc_masks, space)
         ]
+    elif previous is not None and previous.sigma_version == sigma_version:
+        dc_masks, canonical = previous.dc_masks, previous.canonical
     else:
         dc_masks, canonical = _diff_into_cover(
             discoverer, previous, cover
@@ -325,13 +333,14 @@ def build_snapshot(
     evidence = EvidenceSet(dict(discoverer.evidence_set.counts))
     return Snapshot(
         seq=session.last_applied_seq,
-        relation=relation_copy,
+        relation=relation,
         indexes=indexes,
         space=space,
         dc_masks=dc_masks,
         canonical=canonical,
         evidence=evidence,
         status=session.status(),
+        sigma_version=sigma_version,
     )
 
 

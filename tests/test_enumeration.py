@@ -11,7 +11,7 @@ import pytest
 
 from repro.enumeration import (
     DynHS,
-    SetTrie,
+    IncidenceSet,
     dfs_enumerate,
     dynei_delete,
     dynei_insert,
@@ -165,16 +165,16 @@ class TestDynEI:
     def test_delete_matches_static(self, seed):
         bench = _Workbench(seed + 20)
         removed = bench.delete(4)
-        trie = SetTrie(bench.sigma)
-        dynei_delete(bench.space, trie, removed, list(bench.state.evidence))
-        assert sorted(trie) == bench.static_sigma()
+        sigma_set = IncidenceSet(bench.sigma)
+        dynei_delete(bench.space, sigma_set, removed, list(bench.state.evidence))
+        assert sorted(sigma_set) == bench.static_sigma()
 
     def test_no_change_batches(self):
         bench = _Workbench(99)
         assert dynei_insert(bench.space, bench.sigma, []) == bench.sigma
-        trie = SetTrie(bench.sigma)
-        dynei_delete(bench.space, trie, [], list(bench.state.evidence))
-        assert sorted(trie) == bench.sigma
+        sigma_set = IncidenceSet(bench.sigma)
+        dynei_delete(bench.space, sigma_set, [], list(bench.state.evidence))
+        assert sorted(sigma_set) == bench.sigma
 
     def test_alternating_rounds(self):
         bench = _Workbench(7)
@@ -183,27 +183,27 @@ class TestDynEI:
             new_masks = bench.insert(3)
             sigma = dynei_insert(bench.space, sigma, new_masks)
             removed = bench.delete(3)
-            trie = SetTrie(sigma)
-            dynei_delete(bench.space, trie, removed, list(bench.state.evidence))
-            sigma = sorted(trie)
+            sigma_set = IncidenceSet(sigma)
+            dynei_delete(bench.space, sigma_set, removed, list(bench.state.evidence))
+            sigma = sorted(sigma_set)
             assert sigma == bench.static_sigma()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_in_place_trie_stays_consistent(self, seed):
-        """One trie carried through alternating insert/delete rounds:
-        its size, mask-set mirror and traversal agree after every round,
-        and all three equal the static Σ."""
+        """One Σ carried through alternating insert/delete rounds: its
+        size, mask-set view and traversal agree after every round, and
+        all three equal the static Σ."""
         bench = _Workbench(seed + 80, n_rows=14)
-        trie = SetTrie(bench.sigma)
+        sigma_set = IncidenceSet(bench.sigma)
         deleted = 0
         for _ in range(4):
-            refine_sigma(bench.space, trie, maximal_masks(bench.insert(3)))
+            refine_sigma(bench.space, sigma_set, maximal_masks(bench.insert(3)))
             removed = bench.delete(3)
             deleted += bool(removed)
-            dynei_delete(bench.space, trie, removed, list(bench.state.evidence))
-            walked = sorted(trie)
-            assert len(walked) == len(set(walked)) == len(trie)
-            assert set(walked) == trie.mask_set
+            dynei_delete(bench.space, sigma_set, removed, list(bench.state.evidence))
+            walked = sorted(sigma_set)
+            assert len(walked) == len(set(walked)) == len(sigma_set)
+            assert set(walked) == sigma_set.mask_set
             assert walked == bench.static_sigma()
         assert deleted, "no delete removed evidence — widen the workload"
 

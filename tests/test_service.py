@@ -144,6 +144,31 @@ class TestSnapshotIsolation:
         assert new["violations"][0]["n_partners"] == 3
         session.close()
 
+    def test_held_snapshot_ignores_later_deletes(self, tmp_path):
+        """A snapshot shares the live relation's columns: a later insert
+        and a later delete must change neither the rows it lists nor the
+        partners it checks against."""
+        session = make_session(tmp_path)
+        held = build_snapshot(session)
+        rows = list(held.relation.rows())
+        session.insert([(5, "Ana", 2000, 5, 1)])
+        session.delete([0, 2])  # both Anas of seq 0
+        later = build_snapshot(session)
+        assert list(held.relation.rows()) == rows
+        assert list(held.relation.rids()) == [0, 1, 2, 3]
+        assert len(held.relation) == 4 and held.relation.next_rid == 4
+        assert list(later.relation.rids()) == [1, 3, 4]
+        space = session.discoverer.space
+        name_dc = DenialConstraint(parse_dc("!(t.Name = t'.Name)", space), space)
+        candidate = (9, "Ana", 1999, 1, 1)
+        old = held.check(candidate, dcs=[name_dc])["violations"][0]
+        assert old["as_first"] == old["as_second"] == [0, 2]
+        new = later.check(candidate, dcs=[name_dc])["violations"][0]
+        assert new["as_first"] == [4]
+        with pytest.raises(TypeError):
+            held.relation.insert([(6, "Kai", 2003, 1, 1)])
+        session.close()
+
     def test_check_matches_pairwise_oracle(self, tmp_path):
         rng = random.Random(7)
         relation = relation_from_rows(["A", "B", "C"], random_rows(rng, 15))
@@ -451,14 +476,24 @@ class TestPublication:
         session = DurableSession.create(discoverer, tmp_path / "session")
         cover = CanonicalCover(session.discoverer.space)
         snapshot = build_snapshot(session, None, cover)
+        reused = 0
         for step in range(6):
             if step % 3 == 2:
                 session.delete(sorted(session.discoverer.relation.rids())[:1])
             else:
                 session.insert(random_rows(rng, 2))
+            previous = snapshot
             snapshot = build_snapshot(session, snapshot, cover)
             assert snapshot.dcs_payload() == build_snapshot(session).dcs_payload()
             assert snapshot.status["dcs"] == len(snapshot.dc_masks)
+            reused += snapshot.dc_masks is previous.dc_masks
+        # An empty insert leaves Σ as it was: the O(1) version check
+        # shares the previous lists.
+        session.insert([])
+        previous, snapshot = snapshot, build_snapshot(session, snapshot, cover)
+        assert snapshot.dc_masks is previous.dc_masks
+        assert snapshot.canonical is previous.canonical
+        assert reused < 6, "no write changed Σ — widen the workload"
         session.close()
 
     def test_every_published_cover_is_canonical(self, tmp_path):

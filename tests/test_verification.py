@@ -36,7 +36,7 @@ from repro.dcs.violations import (
     violating_partners_for_row,
 )
 from repro.enumeration.dynamic import dynei_delete, lost_critical_predicate
-from repro.enumeration.settrie import SetTrie
+from repro.enumeration.incidence import IncidenceSet
 from repro.evidence.indexes import ColumnIndexes
 from repro.predicates import build_predicate_space
 from repro.service.snapshot import Snapshot
@@ -424,7 +424,7 @@ def test_verify_pruning_identical_antichain(rows, n_delete):
 
 
 def test_dynei_delete_with_verifier_matches_evidence_path(abc_factory):
-    """Replaying ``dynei_delete`` on a fresh trie of the pre-delete Σ gives
+    """Replaying ``dynei_delete`` on a fresh copy of the pre-delete Σ gives
     the discoverer's Σ at every step of a delete workload, and the verifier
     agrees with the evidence path: an old DC survives iff it is still
     minimal on the post-delete relation, and every regrown DC is valid and
@@ -443,9 +443,10 @@ def test_dynei_delete_with_verifier_matches_evidence_path(abc_factory):
         evidence_before = set(discoverer.evidence_set)
         discoverer.delete([rid])
         removed = sorted(evidence_before - set(discoverer.evidence_set))
-        replayed = dynei_delete(
+        replayed = IncidenceSet(sigma_before)
+        dynei_delete(
             discoverer.space,
-            SetTrie(sigma_before),
+            replayed,
             removed_evidence_masks=removed,
             remaining_evidence_masks=list(discoverer.evidence_set),
         )
