@@ -7,14 +7,16 @@ all (current) DCs"; the paper instead uses the tree structure of [2].
 DynEI here keeps Σ as per-predicate incidence bitsets
 (:class:`~repro.enumeration.incidence.IncidenceSet`), where both queries
 are a bit-sliced count over the predicates outside the query mask.  This
-ablation times all three on a real DC antichain.
+ablation times all three on a real DC antichain; the set-trie is a
+fixture in ``_set_structures.py``.
 """
 
 import random
 
 from _harness import ResultTable, rows_for, timed
+from _set_structures import SetTrie
 
-from repro.enumeration import IncidenceSet, SetTrie
+from repro.enumeration import IncidenceSet
 from repro.enumeration.incidence import iter_slots
 from repro.enumeration.mmcs import mmcs_enumerate
 from repro.evidence import build_evidence_state

@@ -1,44 +1,11 @@
-"""Bitmap substrate used for rid (row id) sets and column-index entries.
+"""Raw-``int`` bit patterns, the one set representation of the engine.
 
 The paper stores evidence-context rid sets and index entries as compressed
 bitmaps and performs the reconciliation of Algorithm 1 with logical
-operations on them (Section V-D).  This package provides two interchangeable
-backends behind one protocol:
-
-``IntBitset``
-    A thin, fast wrapper around an arbitrary-precision Python ``int``.
-    CPython evaluates ``&``, ``|``, ``^`` and ``bit_count`` over machine
-    words in C, which makes this the default backend.
-
-``RoaringBitmap``
-    A pure-Python roaring bitmap (sorted array / bitmap / run containers,
-    16-bit chunking) mirroring the compressed-bitmap design the paper cites
-    [13].  Used by the ablation benchmarks to quantify the backend choice.
-
-Use :func:`get_backend` to resolve a backend class by name.
+operations on them (Section V-D).  Here every such set is a plain Python
+``int`` whose bit ``i`` says that row ``i`` is a member: CPython evaluates
+``&``, ``|``, ``^`` and ``bit_count`` over machine words in C.
+:mod:`repro.bitmaps.bitutils` holds the few operations ``int`` lacks.
+The pure-Python roaring bitmap of [13] lives on as a benchmark fixture:
+``benchmarks/bench_ablation_bitmaps.py`` measures it against the ``int``.
 """
-
-from repro.bitmaps.intbitset import IntBitset
-from repro.bitmaps.roaring import RoaringBitmap
-
-_BACKENDS = {
-    "int": IntBitset,
-    "roaring": RoaringBitmap,
-}
-
-
-def get_backend(name):
-    """Return the bitmap class registered under ``name``.
-
-    :param name: ``"int"`` or ``"roaring"``.
-    :raises KeyError: for unknown backend names, listing the valid ones.
-    """
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown bitmap backend {name!r}; available: {sorted(_BACKENDS)}"
-        ) from None
-
-
-__all__ = ["IntBitset", "RoaringBitmap", "get_backend"]

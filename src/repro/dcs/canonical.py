@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Tuple
 
-from repro.enumeration.settrie import SetTrie
+from repro.enumeration.incidence import IncidenceSet, iter_slots
 from repro.predicates.operator import Operator
 from repro.predicates.space import PredicateSpace
 
@@ -85,8 +85,9 @@ class CanonicalCover:
     The structure keeps
 
     - how many raw masks rewrite to each canonical *form*;
-    - the *minimal* forms (no other form is a proper subset) in a
-      :class:`~repro.enumeration.settrie.SetTrie` — they are the cover;
+    - the *minimal* forms (no other form is a proper subset) in an
+      :class:`~repro.enumeration.incidence.IncidenceSet` — they are the
+      cover;
     - for every non-minimal form one minimal *witness*, a proper subset
       of it, and per minimal form the forms it witnesses.
 
@@ -100,7 +101,7 @@ class CanonicalCover:
     def __init__(self, space: PredicateSpace, masks: Iterable[int] = ()):
         self._rules = _rewrite_rules(space)
         self._count = {}
-        self._minimal = SetTrie()
+        self._minimal = IncidenceSet()
         self._witness = {}
         self._witnessed = {}
         self.apply(masks, ())
@@ -170,13 +171,16 @@ class CanonicalCover:
         candidates.sort(key=int.bit_count)
         examined = len(gone) + len(candidates)
         for form in candidates:
-            if minimal.has_subset_of(form):
-                supporter = minimal.subsets_of(form)[0]
+            below = minimal.subsets_of(form)
+            if below:
+                # Any minimal subset will do as the witness.
+                supporter = minimal.mask_at(below.bit_length() - 1)
                 witness[form] = supporter
                 witnessed.setdefault(supporter, set()).add(form)
                 continue
             if form in evicting:
-                for superset in minimal.supersets_of(form):
+                for slot in iter_slots(minimal.supersets_of(form)):
+                    superset = minimal.mask_at(slot)
                     examined += 1
                     minimal.remove(superset)
                     left.append(superset)

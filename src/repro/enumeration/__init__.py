@@ -19,7 +19,6 @@ All return DC predicate-set bitmasks over a
 :class:`~repro.enumeration.incidence.IncidenceSet`.
 """
 
-from repro.enumeration.settrie import SetTrie
 from repro.enumeration.incidence import IncidenceSet, SigmaDelta
 from repro.enumeration.inversion import invert_evidence, minimize_masks, refine_sigma
 from repro.enumeration.dynamic import dynei_delete, dynei_insert
@@ -28,7 +27,6 @@ from repro.enumeration.dynamic_hs import DynHS, dynhs_insert
 from repro.enumeration.dfs import dfs_enumerate
 
 __all__ = [
-    "SetTrie",
     "IncidenceSet",
     "SigmaDelta",
     "invert_evidence",

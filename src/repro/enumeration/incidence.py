@@ -1,4 +1,4 @@
-"""DynEI's Σ as per-predicate incidence bitsets over DC slots.
+"""DC-mask antichains as per-predicate incidence bitsets over slots.
 
 Every stored mask owns a *slot*, and ``columns[p]`` is an int whose bit
 ``s`` says that the mask in slot ``s`` contains predicate ``p``.  The two
@@ -15,6 +15,13 @@ predicate instead of a walk over Σ:
 Removal frees a slot and the next insert reuses it, so the columns stay
 about |Σ| bits wide.  The masks are also keyed by slot in a dict, whose
 key view is the unsorted Σ the discoverer reads.
+
+The same structure holds the canonical cover's minimal forms
+(:class:`~repro.dcs.canonical.CanonicalCover`) and the antichain of
+:func:`~repro.enumeration.inversion.minimize_masks`, which ask one mask
+at a time: :meth:`IncidenceSet.subsets_of` is one OR over the columns
+outside the mask, :meth:`IncidenceSet.supersets_of` one AND over its
+columns.
 """
 
 from __future__ import annotations
@@ -133,6 +140,26 @@ class IncidenceSet:
         columns = self.columns
         for predicate in iter_bits(mask):
             columns[predicate] ^= bit
+
+    def subsets_of(self, mask: int) -> int:
+        """The slots whose mask is a subset of ``mask`` (or equal to it):
+        those in no column of a predicate outside ``mask``."""
+        hit = 0
+        for predicate, column in enumerate(self.columns):
+            if not (mask >> predicate) & 1:
+                hit |= column
+        return self.occupied & ~hit
+
+    def supersets_of(self, mask: int) -> int:
+        """The slots whose mask is a superset of ``mask`` (or equal to
+        it): those in every column of ``mask``."""
+        columns = self.columns
+        if mask.bit_length() > len(columns):
+            return 0
+        slots = self.occupied
+        for predicate in iter_bits(mask):
+            slots &= columns[predicate]
+        return slots
 
     def count_outside(self, outside: int) -> tuple:
         """``(none, one)``: the slots whose mask has no predicate in

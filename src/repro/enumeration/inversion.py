@@ -17,7 +17,6 @@ from typing import Iterable, List
 
 from repro.bitmaps.bitutils import iter_bits
 from repro.enumeration.incidence import IncidenceSet, SigmaDelta, iter_slots
-from repro.enumeration.settrie import SetTrie
 from repro.observability.probe import get_probe
 from repro.predicates.space import PredicateSpace
 
@@ -130,16 +129,13 @@ def maximal_masks(masks: Iterable[int]) -> List[int]:
 
 
 def minimize_masks(masks: Iterable[int]) -> List[int]:
-    """Keep only the set-minimal masks (drop supersets of other masks)."""
-    ordered = sorted(masks, key=lambda mask: mask.bit_count())
-    trie = SetTrie()
-    minimal = []
-    for mask in ordered:
-        if trie.has_subset_of(mask):
-            continue
-        trie.insert(mask)
-        minimal.append(mask)
-    return minimal
+    """Keep only the set-minimal masks (drop supersets of other masks),
+    in ascending popcount order."""
+    minimal = IncidenceSet()
+    for mask in sorted(masks, key=int.bit_count):
+        if not minimal.subsets_of(mask):
+            minimal.insert(mask)
+    return list(minimal)
 
 
 def invert_evidence(

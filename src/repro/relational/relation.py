@@ -5,7 +5,9 @@ reused: evidence contexts, column indexes, and the per-tuple evidence index
 all key on rids, so a delete must not shift ids.  Deleted slots keep their
 storage (values of dead rows are retained — delete maintenance needs to
 recompute the evidence the dying tuples produced) but are excluded from the
-``alive`` bitmap, iteration, and indexes built afterwards.
+alive rids, iteration, and indexes built afterwards.  The alive rids are
+one ``int`` whose bit ``rid`` is set while the row lives, the same raw bit
+pattern every rid set of the evidence engine uses.
 
 The columns are therefore append-only and a rid's values never change,
 which is what lets :meth:`Relation.snapshot` share them.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.bitmaps import IntBitset
+from repro.bitmaps.bitutils import iter_bits
 from repro.relational.schema import ColumnType, Schema
 
 #: The single NaN object every stored NaN is canonicalized to.  CPython
@@ -40,7 +42,7 @@ class Relation:
     def __init__(self, schema: Schema):
         self.schema = schema
         self._columns = [[] for _ in schema]
-        self._alive = IntBitset()
+        self._alive = 0
         self._next_rid = 0
 
     # -- construction ----------------------------------------------------------
@@ -60,15 +62,16 @@ class Relation:
             else (0 if column.ctype is ColumnType.INTEGER else 0.0)
             for column in schema
         )
+        alive = 0
         for rid in range(next_rid):
             row = rows_by_rid.get(rid)
-            alive = row is not None
-            if not alive:
+            if row is None:
                 row = placeholders
+            else:
+                alive |= 1 << rid
             for position, value in enumerate(row):
                 relation._columns[position].append(canonical_value(value))
-            if alive:
-                relation._alive.add(rid)
+        relation._alive = alive
         relation._next_rid = next_rid
         return relation
 
@@ -94,21 +97,23 @@ class Relation:
                 values.append(canonical_value(value))
             rid = self._next_rid
             self._next_rid += 1
-            self._alive.add(rid)
+            self._alive |= 1 << rid
             new_rids.append(rid)
         return new_rids
 
     def delete(self, rids: Iterable[int]) -> list:
         """Mark ``rids`` dead and return them as a list.
 
-        :raises KeyError: if any rid is not currently alive.
+        :raises KeyError: if any rid is not currently alive, or repeats;
+            a rejected batch deletes nothing.
         """
-        deleted = []
-        for rid in rids:
-            if rid not in self._alive:
+        deleted = list(rids)
+        doomed = 0
+        for rid in deleted:
+            if not self.is_alive(rid) or (doomed >> rid) & 1:
                 raise KeyError(f"rid {rid} is not an alive row")
-            self._alive.discard(rid)
-            deleted.append(rid)
+            doomed |= 1 << rid
+        self._alive ^= doomed
         return deleted
 
     @staticmethod
@@ -142,17 +147,12 @@ class Relation:
         return self._columns[position]
 
     @property
-    def alive(self) -> IntBitset:
-        """Bitmap of alive rids (a copy; callers may mutate freely)."""
-        return self._alive.copy()
-
-    @property
     def alive_bits(self) -> int:
-        """Alive rids as a raw int bit pattern (do not mutate via this)."""
-        return self._alive.bits
+        """Alive rids as a raw int bit pattern."""
+        return self._alive
 
     def is_alive(self, rid: int) -> bool:
-        return rid in self._alive
+        return rid >= 0 and (self._alive >> rid) & 1 == 1
 
     @property
     def next_rid(self) -> int:
@@ -161,15 +161,15 @@ class Relation:
 
     def __len__(self) -> int:
         """Number of alive rows."""
-        return len(self._alive)
+        return self._alive.bit_count()
 
     def rids(self) -> Iterator[int]:
         """Alive rids in ascending order."""
-        return iter(self._alive)
+        return iter_bits(self._alive)
 
     def rows(self) -> Iterator[tuple]:
         """Alive rows in rid order."""
-        for rid in self._alive:
+        for rid in iter_bits(self._alive):
             yield self.row(rid)
 
     # -- derivation ------------------------------------------------------------
@@ -178,13 +178,13 @@ class Relation:
         """A read-only view of the current rows that copies none of them.
 
         The view shares the column lists, which later inserts only append
-        to past its ``next_rid``, and copies the alive bitmap, which
-        later deletes clear bits of.  It raises on ``insert``/``delete``.
+        to past its ``next_rid``, and the alive rids, an immutable ``int``
+        that later writes replace.  It raises on ``insert``/``delete``.
         """
         view = _RelationView.__new__(_RelationView)
         view.schema = self.schema
         view._columns = self._columns
-        view._alive = self._alive.copy()
+        view._alive = self._alive
         view._next_rid = self._next_rid
         return view
 
@@ -197,7 +197,7 @@ class Relation:
         positions = [self.schema.position(name) for name in names]
         projected.insert(
             tuple(self._columns[position][rid] for position in positions)
-            for rid in self._alive
+            for rid in iter_bits(self._alive)
         )
         return projected
 
@@ -205,7 +205,7 @@ class Relation:
         """New relation with the first ``n`` alive rows (re-assigned rids)."""
         fresh = Relation(self.schema)
         rows = []
-        for rid in self._alive:
+        for rid in iter_bits(self._alive):
             if len(rows) >= n:
                 break
             rows.append(self.row(rid))

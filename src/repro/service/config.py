@@ -41,9 +41,6 @@ class ServiceConfig:
         back"; see docs/service.md.
     :param drain_timeout_s: shutdown grace period for the writer to
         drain the queue and checkpoint.
-    :param cycle_delay_s: artificial stall at the start of every write
-        cycle.  0 in production; the backpressure tests use it to make
-        queue saturation and commit timeouts deterministic.
     :param flight_recorder_spans: capacity of the in-memory flight
         recorder's span ring (``GET /debug/trace`` serves from it).
     :param slow_trace_threshold_s: spans at least this long are copied
@@ -79,7 +76,6 @@ class ServiceConfig:
     batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS
     request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S
     drain_timeout_s: float = 60.0
-    cycle_delay_s: float = 0.0
     flight_recorder_spans: int = DEFAULT_FLIGHT_RECORDER_SPANS
     slow_trace_threshold_s: float = DEFAULT_SLOW_TRACE_THRESHOLD_S
     metrics_out: Optional[str] = None

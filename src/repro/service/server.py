@@ -347,8 +347,6 @@ class DCService:
         inside :meth:`DurableSession.insert`/``delete`` inherit the cycle
         context through the writer thread's locals.
         """
-        if self.config.cycle_delay_s:
-            time.sleep(self.config.cycle_delay_s)
         with self._metrics_lock:
             self.instrumentation.inc("service.batches_total")
             self.instrumentation.inc(

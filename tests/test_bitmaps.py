@@ -1,11 +1,17 @@
-"""Unit and property tests for the bitmap substrate."""
+"""Unit and property tests for the bitmap backends of the bitmap
+ablation (``benchmarks/bench_ablation_bitmaps.py``), whose agreement the
+ablation relies on."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmaps import IntBitset, RoaringBitmap, get_backend
-from repro.bitmaps.roaring import ARRAY_MAX, _container_len
+from benchmarks._set_structures import (
+    ARRAY_MAX,
+    IntBitset,
+    RoaringBitmap,
+    _container_len,
+)
 
 BACKENDS = [IntBitset, RoaringBitmap]
 
@@ -130,13 +136,6 @@ def test_roaring_run_optimize_preserves_content():
     assert len(bitmap & other) == 1000
     assert 1500 in bitmap
     assert bitmap.max() == 1999
-
-
-def test_get_backend():
-    assert get_backend("int") is IntBitset
-    assert get_backend("roaring") is RoaringBitmap
-    with pytest.raises(KeyError):
-        get_backend("nope")
 
 
 def test_intbitset_negative_rejected():

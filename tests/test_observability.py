@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from benchmarks._set_structures import RoaringBitmap
 from repro.core.discoverer import DCDiscoverer
 from repro.observability import (
     Instrumentation,
@@ -22,7 +23,6 @@ from repro.observability import (
     snapshot_to_prometheus,
     span,
 )
-from repro.bitmaps.roaring import RoaringBitmap
 from repro.relational.loader import relation_from_rows
 
 
@@ -375,24 +375,6 @@ class TestBitmapInstrumentation:
         assert dense.container_stats()["bitmap"] == 1
         dense.run_optimize()
         assert dense.container_stats()["run"] == 1
-
-    def test_op_counting_through_probe(self):
-        left = RoaringBitmap.from_iterable(range(10))
-        right = RoaringBitmap.from_iterable(range(5, 15))
-        instrumentation = Instrumentation()
-        with install(instrumentation):
-            _ = left & right
-            _ = left | right
-            _ = left - right
-            _ = left ^ right
-        counters = instrumentation.metrics.counters
-        assert counters["bitmap.and_ops"] == 1
-        assert counters["bitmap.or_ops"] == 1
-        assert counters["bitmap.andnot_ops"] == 1
-        assert counters["bitmap.xor_ops"] == 1
-        # Outside the probe: no accounting.
-        _ = left & right
-        assert counters["bitmap.and_ops"] == 1
 
 
 # -- logging -------------------------------------------------------------------

@@ -86,6 +86,17 @@ class TestRelation:
         with pytest.raises(KeyError):
             relation.delete([0])  # double delete
 
+    def test_rejected_delete_deletes_nothing(self, staff):
+        """A batch holding a dead, unknown, negative or repeated rid
+        raises before any of its rows dies."""
+        staff.delete([3])
+        for batch in ([0, 10**6], [1, 1], [2, 3], [0, -1]):
+            with pytest.raises(KeyError):
+                staff.delete(batch)
+            assert list(staff.rids()) == [0, 1, 2]
+        assert staff.delete([2, 0]) == [2, 0]
+        assert list(staff.rids()) == [1]
+
     def test_arity_mismatch_raises(self):
         relation = Relation(self._schema())
         with pytest.raises(ValueError, match="arity"):

@@ -19,6 +19,7 @@ import http.client
 import json
 import random
 import threading
+import time
 
 import pytest
 
@@ -67,6 +68,19 @@ def record_ops(session) -> list:
 
     session.insert, session.delete = recording_insert, recording_delete
     return applied
+
+
+def stall_cycles(service, delay_s: float) -> None:
+    """Make each of ``service``'s write cycles start with a ``delay_s``
+    sleep, so queue saturation and commit timeouts are deterministic.
+    Call it before ``start()``."""
+    apply_cycle = service._apply_cycle
+
+    def stalled(requests):
+        time.sleep(delay_s)
+        return apply_cycle(requests)
+
+    service._apply_cycle = stalled
 
 
 @pytest.fixture
@@ -571,10 +585,10 @@ class TestBackpressure:
                 port=0,
                 queue_depth=1,
                 batch_window_ms=0.0,
-                cycle_delay_s=0.4,
                 request_timeout_s=10.0,
             ),
         )
+        stall_cycles(service, 0.4)
         service.start()
         client = ServiceClient(base_url=service.url, timeout=15.0)
         client.wait_ready()
@@ -608,9 +622,9 @@ class TestBackpressure:
         session = make_session(tmp_path)
         applied = record_ops(session)
         service = DCService(
-            session,
-            ServiceConfig(port=0, batch_window_ms=0.0, cycle_delay_s=0.5),
+            session, ServiceConfig(port=0, batch_window_ms=0.0)
         )
+        stall_cycles(service, 0.5)
         service.start()
         client = ServiceClient(base_url=service.url, timeout=15.0)
         with pytest.raises(ServiceUnavailableError) as excinfo:
