@@ -20,6 +20,9 @@ publication (no HTTP, no timing): fixed Tax rows go through
 ``snapshot.sigma_delta`` (raw Σ masks added plus removed) and
 ``snapshot.cover_forms_examined`` counters are gated by
 ``bench_gate.py``: a publish that re-examines all of Σ again fails there.
+So are the checkpoints the session writes on its cadence along the way
+(``durability.checkpoints`` and ``durability.checkpoint_bytes``): a larger
+persisted state fails there too.
 The leg also logs the wall clock of one ``build_snapshot`` at |r| = 420
 and |r| = 4,200 (``extras.snapshot_build_ms``, not gated).  Those
 sessions track a fixed Σ (``mode="verify"``), which keeps a 4,200-row
@@ -53,7 +56,12 @@ OPS_PER_CLIENT = 15
 WINDOWS_MS = (5.0, 0.0)
 #: Rows the publish leg writes, one insert and one publish each.
 PUBLISH_ROWS = 40
-PUBLISH_COUNTERS = ("snapshot.sigma_delta", "snapshot.cover_forms_examined")
+PUBLISH_COUNTERS = (
+    "snapshot.sigma_delta",
+    "snapshot.cover_forms_examined",
+    "durability.checkpoints",
+    "durability.checkpoint_bytes",
+)
 #: Relation sizes the publish leg times one snapshot build at, and the
 #: single-row writes (one build each) it takes the median over.
 PUBLISH_SIZES = (420, 4200)
@@ -146,7 +154,8 @@ def fitted_session(directory, n_later: int) -> tuple:
 
 
 def run_publish_leg(tmp_path) -> dict:
-    """Publish work counters of single-row writes, summed over the leg.
+    """Publish and checkpoint work counters of single-row writes, summed
+    over the leg.
 
     Seeding the cover (the first snapshot) is left out: what is gated is
     the per-write cost, which must follow the Σ diff, not |Σ|.

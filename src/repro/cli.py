@@ -232,7 +232,9 @@ def _print_state_stats(discoverer: DCDiscoverer) -> None:
     print(f"evidence pairs       {state.evidence.total_pairs()}")
     print(f"minimal DCs          {len(discoverer.dc_masks)}")
     print(f"canonical DCs        {len(discoverer.canonical_dcs)}")
-    if state.tuple_index is not None:
+    if state.tuple_index is None:
+        print("tuple index          none")
+    else:
         stats = state.tuple_index.stats()
         print(
             f"tuple index          {stats['tuples']} tuples, "

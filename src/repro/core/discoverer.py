@@ -60,10 +60,13 @@ class DCDiscoverer:
         single-column predicates.
     :param column_names: restrict the predicate space to these columns
         (used by the column-scaling experiments).
-    :param maintain_tuple_index: keep the per-tuple evidence index that
-        accelerates deletes (Section V-C); slight insert-time overhead.
-    :param delete_strategy: ``"index"`` (needs the tuple index) or
-        ``"recompute"`` (Figure 10 compares the two).
+    :param delete_strategy: ``"recompute"`` (the default) reconciles
+        each deleted tuple against the survivors; ``"index"`` also keeps
+        the per-tuple evidence index of Section V-C, which answers half
+        of a delete's pairs from the index at the price of recording
+        every pair's owner on fit and insert and persisting it with the
+        state.  Figure 10 compares the two: the index wins under the
+        pure-Python evidence kernel and loses under the NumPy one.
     :param infer_within_delta: apply evidence inference among the
         incremental tuples themselves (the Figure 9 "Opt" strategy).
     :param enumeration_backend: ``"dynei"`` (3DC) or ``"dynhs"`` ([19]).
@@ -104,8 +107,7 @@ class DCDiscoverer:
         cross_column_ratio: float = DEFAULT_CROSS_COLUMN_RATIO,
         allow_cross_columns: bool = True,
         column_names: Optional[Sequence[str]] = None,
-        maintain_tuple_index: bool = True,
-        delete_strategy: str = "index",
+        delete_strategy: str = "recompute",
         infer_within_delta: bool = True,
         enumeration_backend: str = "dynei",
         workers: int = 1,
@@ -121,10 +123,6 @@ class DCDiscoverer:
                 f"delete_strategy must be 'index' or 'recompute', "
                 f"got {delete_strategy!r}"
             )
-        if delete_strategy == "index" and not maintain_tuple_index:
-            raise ValueError(
-                "delete_strategy='index' requires maintain_tuple_index=True"
-            )
         if mode not in ("discover", "verify"):
             raise ValueError(
                 f"mode must be 'discover' or 'verify', got {mode!r}"
@@ -135,7 +133,6 @@ class DCDiscoverer:
         self.cross_column_ratio = cross_column_ratio
         self.allow_cross_columns = allow_cross_columns
         self.column_names = tuple(column_names) if column_names else None
-        self.maintain_tuple_index = maintain_tuple_index
         self.delete_strategy = delete_strategy
         self.infer_within_delta = infer_within_delta
         self.mode = mode
@@ -179,10 +176,12 @@ class DCDiscoverer:
                     column_names=self.column_names,
                 )
             with span("evidence"):
+                # The third argument keeps the per-tuple evidence index,
+                # which only the index delete strategy reads.
                 self._state = build_evidence_state(
                     self.relation,
                     self.space,
-                    maintain_tuple_index=self.maintain_tuple_index,
+                    self.delete_strategy == "index",
                     workers=self.workers,
                     backend=self.backend,
                 )

@@ -3,9 +3,10 @@
 3DC's whole point is reusing the evidence set and DC antichain of a
 previous discovery (Figure 2).  This module serializes the full discoverer
 state — schema, alive rows (with their original rids), the exact predicate
-space, the evidence multiplicities, the DC antichain, and the per-tuple
-evidence index — to a JSON document, so a later process can resume
-incremental maintenance without re-running the static bootstrap.
+space, the evidence multiplicities, the DC antichain, and (under the
+index delete strategy) the per-tuple evidence index — to a JSON document,
+so a later process can resume incremental maintenance without re-running
+the static bootstrap.
 
 Masks are hex strings (they exceed 64 bits routinely); rids are decimal
 string keys (JSON objects demand string keys).
@@ -92,7 +93,6 @@ def state_to_dict(discoverer: DCDiscoverer) -> dict:
         "column_names": list(discoverer.column_names)
         if discoverer.column_names
         else None,
-        "maintain_tuple_index": discoverer.maintain_tuple_index,
         "delete_strategy": discoverer.delete_strategy,
         "infer_within_delta": discoverer.infer_within_delta,
         "enumeration_backend": discoverer.enumeration_backend,
@@ -131,6 +131,21 @@ def state_to_dict(discoverer: DCDiscoverer) -> dict:
     }
 
 
+#: The keys of a persisted config: :class:`DCDiscoverer` arguments.
+_CONFIG_KEYS = frozenset(
+    {
+        "cross_column_ratio",
+        "allow_cross_columns",
+        "column_names",
+        "delete_strategy",
+        "infer_within_delta",
+        "enumeration_backend",
+        "mode",
+    }
+)
+#: Config keys of earlier versions of the format, accepted and ignored.
+_RETIRED_CONFIG_KEYS = frozenset({"maintain_tuple_index"})
+
 _REQUIRED_KEYS = (
     "config",
     "schema",
@@ -147,8 +162,10 @@ def state_from_dict(payload: dict) -> DCDiscoverer:
     """Rebuild a fitted discoverer from :func:`state_to_dict` output.
 
     Raises :class:`StateFormatError` for foreign/incomplete documents and
-    :class:`StateVersionError` for other schema versions (both subclass
-    ``ValueError``) — never an opaque ``KeyError``.
+    configs with unknown keys, and :class:`StateVersionError` for other
+    schema versions (both subclass ``ValueError``) — never an opaque
+    ``KeyError`` or ``TypeError``.  A persisted tuple index is loaded
+    only under the index delete strategy.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise StateFormatError(f"not a {FORMAT_NAME} document")
@@ -159,6 +176,15 @@ def state_from_dict(payload: dict) -> DCDiscoverer:
         raise StateFormatError(
             f"{FORMAT_NAME} document is missing fields: {', '.join(missing)}"
         )
+    config = payload["config"]
+    if not isinstance(config, dict):
+        raise StateFormatError(f"{FORMAT_NAME} config is not an object")
+    unknown = sorted(set(config) - _CONFIG_KEYS - _RETIRED_CONFIG_KEYS)
+    if unknown:
+        raise StateFormatError(
+            f"{FORMAT_NAME} config has unknown keys: {', '.join(unknown)}"
+        )
+    config = {key: value for key, value in config.items() if key in _CONFIG_KEYS}
 
     schema = Schema(
         Column(name, ColumnType(ctype)) for name, ctype in payload["schema"]
@@ -174,7 +200,6 @@ def state_from_dict(payload: dict) -> DCDiscoverer:
     }
     relation = Relation.from_sparse_rows(schema, rows_by_rid, payload["next_rid"])
 
-    config = payload["config"]
     discoverer = DCDiscoverer(relation, **config)
     discoverer.space = build_space_from_pairs(
         schema, [tuple(pair) for pair in payload["space_pairs"]]
@@ -183,9 +208,12 @@ def state_from_dict(payload: dict) -> DCDiscoverer:
     evidence = EvidenceSet(
         {int(mask, 16): count for mask, count in payload["evidence"].items()}
     )
+    # Earlier versions kept the index under "recompute" too, where deletes
+    # never pruned it, so such a state's index is dropped, not loaded.
     tuple_index = (
         _tuple_index_from_dict(payload["tuple_index"])
-        if payload["tuple_index"] is not None
+        if discoverer.delete_strategy == "index"
+        and payload["tuple_index"] is not None
         else None
     )
     discoverer._state = EvidenceEngineState(

@@ -76,8 +76,8 @@ def build_evidence_state(
     """Build the full evidence set of ``relation`` from scratch.
 
     :param maintain_tuple_index: also populate the per-tuple evidence index
-        used by the fast delete strategy (Section V-C); the paper reports
-        only a slight build-time overhead for it.
+        that the ``"index"`` delete strategy reads (Section V-C); the paper
+        reports only a slight build-time overhead for it.
     :param workers: stripe the scan over a fork pool when > 1 (0 = one
         worker per CPU); the merged evidence set is identical to the
         serial result for any worker count.
@@ -87,7 +87,7 @@ def build_evidence_state(
     """
     from repro.evidence import parallel
     from repro.evidence.kernels import make_kernel
-    from repro.evidence.kernels.base import ReconcileTask, TupleIndexRecorder
+    from repro.evidence.kernels.base import ReconcileTask
 
     with span("indexes"):
         indexes = ColumnIndexes(relation, step=checkpoint_step)
@@ -118,12 +118,7 @@ def build_evidence_state(
                 kernel, tasks, n_workers, tuple_index
             )
         else:
-            recorder = (
-                TupleIndexRecorder(tuple_index)
-                if maintain_tuple_index
-                else None
-            )
-            kernel.reconcile(tasks, evidence_set, recorder)
+            kernel.reconcile(tasks, evidence_set, tuple_index)
 
     return EvidenceEngineState(
         space=space,

@@ -153,8 +153,8 @@ def delete_evidence_with_index(
     tuple_index = state.tuple_index
     if tuple_index is None:
         raise RuntimeError(
-            "delete_evidence_with_index requires a tuple evidence index; "
-            "build the state with maintain_tuple_index=True"
+            "delete_evidence_with_index requires a tuple evidence index, "
+            "which a discoverer keeps only under delete_strategy='index'"
         )
     delete_list = sorted(delete_rids)
     n_workers = parallel.resolve_workers(workers)

@@ -50,7 +50,7 @@ def incremental_evidence_for_insert(
     """
     from repro.evidence import parallel
     from repro.evidence.kernels import make_kernel
-    from repro.evidence.kernels.base import ReconcileTask, TupleIndexRecorder
+    from repro.evidence.kernels.base import ReconcileTask
 
     delta_list = sorted(delta_rids)
     delta_bits = bits_from(delta_list)
@@ -96,9 +96,8 @@ def incremental_evidence_for_insert(
         return parallel.reconcile_striped(
             kernel, tasks, n_workers, state.tuple_index, symmetric_bits
         )
-    recorder = TupleIndexRecorder(state.tuple_index) if record else None
     kernel.reconcile(
-        tasks, evidence_delta, recorder, symmetric_bits=symmetric_bits
+        tasks, evidence_delta, state.tuple_index, symmetric_bits=symmetric_bits
     )
     return evidence_delta
 

@@ -30,7 +30,6 @@ from repro.evidence.kernels.base import (
     KernelUnsupported,
     ListRecorder,
     ReconcileTask,
-    TupleIndexRecorder,
 )
 from repro.evidence.kernels.pure import PythonKernel
 from repro.evidence.kernels.vectorized import VectorizedKernel, numpy_available
@@ -97,7 +96,6 @@ __all__ = [
     "ListRecorder",
     "PythonKernel",
     "ReconcileTask",
-    "TupleIndexRecorder",
     "VectorizedKernel",
     "make_kernel",
     "numpy_available",

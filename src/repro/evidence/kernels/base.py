@@ -10,10 +10,11 @@ that invariant is what the differential suite and the CI bench gate check.
 
 The sink is anything with ``add(mask, count)`` — an
 :class:`~repro.evidence.evidence_set.EvidenceSet` in the serial drivers, a
-plain signed-counter wrapper in the pooled stripes.  The recorder
-receives ``(rid, owned_counter, partner_bits)`` triples in task order,
-mirroring what :meth:`~repro.evidence.tuple_index.TupleEvidenceIndex.\
-record_contexts` stores.
+plain signed-counter wrapper in the pooled stripes.  The recorder is
+anything with ``record(rid, owned_counter, partner_bits)``, called in
+task order — the
+:class:`~repro.evidence.tuple_index.TupleEvidenceIndex` itself in the
+serial drivers, a :class:`ListRecorder` buffer in the pooled stripes.
 """
 
 from __future__ import annotations
@@ -83,31 +84,6 @@ class CounterSink:
 
     def subtract(self, mask: int, count: int) -> None:
         self.counts[mask] = self.counts.get(mask, 0) - count
-
-
-class TupleIndexRecorder:
-    """Ownership recorder writing straight into a
-    :class:`~repro.evidence.tuple_index.TupleEvidenceIndex` (serial path)."""
-
-    __slots__ = ("tuple_index",)
-
-    def __init__(self, tuple_index):
-        self.tuple_index = tuple_index
-
-    def record(self, rid: int, owned_counter: dict, partner_bits: int) -> None:
-        index = self.tuple_index
-        counter = index.owned.get(rid)
-        if counter is None:
-            # Fresh entry (the overwhelmingly common case): one C-level
-            # dict copy instead of a per-evidence merge loop.
-            index.owned[rid] = dict(owned_counter)
-            index.partners_of[rid] = (
-                index.partners_of.get(rid, 0) | partner_bits
-            )
-            return
-        for evidence, count in owned_counter.items():
-            counter[evidence] = counter.get(evidence, 0) + count
-        index.partners_of[rid] = index.partners_of.get(rid, 0) | partner_bits
 
 
 class ListRecorder:
@@ -228,7 +204,6 @@ __all__: List[str] = [
     "KernelUnsupported",
     "ListRecorder",
     "ReconcileTask",
-    "TupleIndexRecorder",
     "emit_kernel_stats",
     "ownership_counter",
     "record_task",

@@ -39,7 +39,6 @@ from repro.evidence.kernels.base import (
     CounterSink,
     KernelStats,
     ListRecorder,
-    TupleIndexRecorder,
     emit_kernel_stats,
 )
 from repro.observability import add_finished_span, get_logger
@@ -211,12 +210,11 @@ def merge_shard_counts(results: List[ShardResult]) -> EvidenceSet:
 
 def apply_tuple_records(tuple_index, results: List[ShardResult]) -> None:
     """Install the stripes' tuple-index records in rid order."""
-    recorder = TupleIndexRecorder(tuple_index)
     records = [record for shard in results for record in shard.records]
     for rid, owned_counter, partner_bits in sorted(
         records, key=lambda record: record[0]
     ):
-        recorder.record(rid, owned_counter, partner_bits)
+        tuple_index.record(rid, owned_counter, partner_bits)
 
 
 def report_shards(results: List[ShardResult], kernel, workers: int) -> None:

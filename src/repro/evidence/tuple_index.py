@@ -30,20 +30,20 @@ class TupleEvidenceIndex:
         self.owned = {}
         self.partners_of = {}
 
-    def record_contexts(self, rid: int, contexts: dict) -> None:
-        """Record the reconciled contexts of lhs tuple ``rid``.
-
-        ``contexts`` maps evidence mask → partner rid bits, as produced by
-        :func:`repro.evidence.contexts.build_contexts`.
-        """
-        counter = self.owned.setdefault(rid, {})
-        partner_union = self.partners_of.get(rid, 0)
-        for evidence, bits in contexts.items():
-            if not bits:
-                continue
-            counter[evidence] = counter.get(evidence, 0) + bits.bit_count()
-            partner_union |= bits
-        self.partners_of[rid] = partner_union
+    def record(self, rid: int, owned_counter: dict, partner_bits: int) -> None:
+        """Add the pairs lhs tuple ``rid`` owns: ``owned_counter`` maps
+        evidence mask → multiplicity, ``partner_bits`` holds the partners
+        of those pairs.  This is the evidence kernels' recorder interface
+        (see :mod:`repro.evidence.kernels.base`)."""
+        counter = self.owned.get(rid)
+        if counter is None:
+            # Fresh entry (the overwhelmingly common case): one C-level
+            # dict copy instead of a per-evidence merge loop.
+            self.owned[rid] = dict(owned_counter)
+        else:
+            for evidence, count in owned_counter.items():
+                counter[evidence] = counter.get(evidence, 0) + count
+        self.partners_of[rid] = self.partners_of.get(rid, 0) | partner_bits
 
     def owned_evidence(self, rid: int) -> dict:
         """Aggregated evidence counter of pairs owned by ``rid`` as

@@ -2,7 +2,8 @@
 and demand byte-identity with an uninterrupted run.
 
 For each registered :data:`~repro.durability.faults.FAULT_POINTS` entry ×
-each operation kind {insert batch, delete batch, checkpoint}, the harness
+each operation kind {insert batch, delete batch, checkpoint} × each delete
+strategy {recompute (the default), index}, the harness
 runs a scripted workload inside a :class:`DurableSession`, arms the fault
 point before the target operation, and — if the simulated crash fires —
 collapses the session directory to its pessimistic post-power-loss image
@@ -23,8 +24,11 @@ skipping.
 The Hypothesis property test generalizes the same contract to random
 batch sequences crashed at a random point, and additionally checks the
 recovered engine against the *static re-discovery* oracle of
-tests/test_differential.py (evidence multiset, Σ, and a tuple index that
-still supports index-based deletes).
+tests/test_differential.py (evidence multiset, Σ, and deletes that stay
+exact — through the tuple index under the index strategy).  The session
+and its oracle always run the same delete strategy: the index strategy
+persists the per-tuple index, so its checkpoint, compaction and recovery
+go through the matrix too.
 """
 
 import os
@@ -50,6 +54,20 @@ BASE_ROWS = 12
 BATCH_LOST = {"wal.append", "wal.pre_fsync"}
 
 OPERATIONS = ("insert", "delete", "checkpoint")
+DELETE_STRATEGIES = ("recompute", "index")
+
+#: The matrix's (operation, delete strategy) axis.  The default strategy
+#: keeps the bare operation as its id; the index strategy's ids end in
+#: ``-index``.
+MATRIX_CASES = [
+    pytest.param(
+        operation,
+        strategy,
+        id=operation if strategy == "recompute" else f"{operation}-{strategy}",
+    )
+    for strategy in DELETE_STRATEGIES
+    for operation in OPERATIONS
+]
 
 
 def base_rows():
@@ -81,21 +99,26 @@ def apply_batch(target, batch):
         target.delete(payload)
 
 
-def oracle_bytes(batches):
-    """Serialized state of an uninterrupted plain run over ``batches``."""
-    discoverer = DCDiscoverer(relation_from_rows(HEADER, base_rows()))
+def oracle_bytes(batches, **config):
+    """Serialized state of an uninterrupted plain run over ``batches``
+    of a discoverer built with ``config``."""
+    discoverer = DCDiscoverer(relation_from_rows(HEADER, base_rows()), **config)
     discoverer.fit()
     for batch in batches:
         apply_batch(discoverer, batch)
     return state_to_bytes(discoverer)
 
 
-@pytest.mark.parametrize("operation", OPERATIONS)
+@pytest.mark.parametrize("operation,delete_strategy", MATRIX_CASES)
 @pytest.mark.parametrize("point", sorted(FAULT_POINTS))
-def test_crash_matrix(tmp_path, fault_injector, point, operation):
+def test_crash_matrix(
+    tmp_path, fault_injector, point, operation, delete_strategy
+):
     session_dir = tmp_path / "session"
     setup = scripted_batches()
-    discoverer = DCDiscoverer(relation_from_rows(HEADER, base_rows()))
+    discoverer = DCDiscoverer(
+        relation_from_rows(HEADER, base_rows()), delete_strategy=delete_strategy
+    )
     # checkpoint_every=1 makes every update batch also exercise the
     # checkpoint path, so checkpoint.* points are reachable from inserts
     # and deletes; the explicit-checkpoint scenario uses a cadence the
@@ -141,7 +164,9 @@ def test_crash_matrix(tmp_path, fault_injector, point, operation):
 
     recovered = DurableSession.recover(session_dir)
     try:
-        assert state_to_bytes(recovered.discoverer) == oracle_bytes(durable)
+        assert state_to_bytes(recovered.discoverer) == oracle_bytes(
+            durable, delete_strategy=delete_strategy
+        )
     finally:
         recovered.close()
 
@@ -152,12 +177,17 @@ def test_matrix_covers_every_registered_point():
     assert covered == FAULT_POINTS
 
 
-def test_double_crash_recovery_is_idempotent(tmp_path, fault_injector):
+@pytest.mark.parametrize("delete_strategy", DELETE_STRATEGIES)
+def test_double_crash_recovery_is_idempotent(
+    tmp_path, fault_injector, delete_strategy
+):
     """Crashing, recovering, crashing again: recovery is repeatable and
     each replay starts from the newest durable image."""
     session_dir = tmp_path / "session"
     rng = random.Random(31)
-    discoverer = DCDiscoverer(relation_from_rows(HEADER, base_rows()))
+    discoverer = DCDiscoverer(
+        relation_from_rows(HEADER, base_rows()), delete_strategy=delete_strategy
+    )
     session = DurableSession.create(discoverer, session_dir, checkpoint_every=100)
     session.insert(random_rows(rng, 2))
     with fault_injector.armed("wal.pre_fsync"):
@@ -174,7 +204,9 @@ def test_double_crash_recovery_is_idempotent(tmp_path, fault_injector):
     recovered.simulate_power_loss()
 
     final = DurableSession.recover(session_dir)
-    expected = DCDiscoverer(relation_from_rows(HEADER, base_rows()))
+    expected = DCDiscoverer(
+        relation_from_rows(HEADER, base_rows()), delete_strategy=delete_strategy
+    )
     expected.fit()
     expected.insert(random_rows(random.Random(31), 2))
     expected.insert(batch)
@@ -205,13 +237,16 @@ _op = st.one_of(
 )
 
 
+@pytest.mark.parametrize("delete_strategy", DELETE_STRATEGIES)
 @settings(max_examples=20, deadline=None)
 @given(
     ops=st.lists(_op, min_size=1, max_size=5),
     crash_index=st.integers(min_value=0, max_value=4),
     point=st.sampled_from(sorted(FAULT_POINTS)),
 )
-def test_random_workload_crash_recovers_to_oracle(ops, crash_index, point):
+def test_random_workload_crash_recovers_to_oracle(
+    delete_strategy, ops, crash_index, point
+):
     """Recovered evidence multiset, Σ, and tuple index equal the
     crash-free oracle over the durable batch prefix, wherever the crash
     lands."""
@@ -220,7 +255,10 @@ def test_random_workload_crash_recovers_to_oracle(ops, crash_index, point):
     injector.reset()
     with tempfile.TemporaryDirectory() as tmp:
         session_dir = os.path.join(tmp, "session")
-        discoverer = DCDiscoverer(relation_from_rows(HEADER, base_rows()))
+        discoverer = DCDiscoverer(
+            relation_from_rows(HEADER, base_rows()),
+            delete_strategy=delete_strategy,
+        )
         session = DurableSession.create(
             discoverer, session_dir, checkpoint_every=2
         )
@@ -253,7 +291,10 @@ def test_random_workload_crash_recovers_to_oracle(ops, crash_index, point):
         try:
             # Oracle 1: uninterrupted plain run over the durable prefix,
             # byte for byte.
-            oracle = DCDiscoverer(relation_from_rows(HEADER, base_rows()))
+            oracle = DCDiscoverer(
+                relation_from_rows(HEADER, base_rows()),
+                delete_strategy=delete_strategy,
+            )
             oracle.fit()
             for index in durable:
                 kind, payload = ops[index]
@@ -267,8 +308,8 @@ def test_random_workload_crash_recovers_to_oracle(ops, crash_index, point):
             # Oracle 2: static re-discovery from the final table
             # (evidence multiset + Σ), reusing the differential helpers.
             assert_matches_oracle(recovered.discoverer)
-            # The recovered tuple index must keep supporting index-based
-            # deletes exactly.
+            # Deletes on the recovered engine must stay exact (through
+            # the recovered tuple index under the index strategy).
             survivors = _materialize_delete(recovered.discoverer.relation, 2)
             if survivors:
                 recovered.discoverer.delete(survivors)

@@ -81,16 +81,23 @@ def test_delete_matches_static_oracle(seed, delete_strategy):
     assert_matches_oracle(discoverer)
 
 
-@pytest.mark.parametrize("seed", [21, 22, 23])
-def test_mixed_update_sequence_matches_static_oracle(seed):
-    """Several rounds of interleaved inserts and deletes — staleness in
-    the per-tuple index accumulates across batches, which single-batch
-    tests never exercise."""
+@pytest.mark.parametrize(
+    "seed,delete_strategy",
+    [
+        pytest.param(seed, strategy, id=f"{seed}{suffix}")
+        for strategy, suffix in (("recompute", ""), ("index", "-index"))
+        for seed in (21, 22, 23)
+    ],
+)
+def test_mixed_update_sequence_matches_static_oracle(seed, delete_strategy):
+    """Several rounds of interleaved inserts and deletes — under the index
+    strategy, staleness in the per-tuple index accumulates across batches,
+    which single-batch tests never exercise."""
     workload = split_for_insert(_rows(), ratio=0.3, retain=0.6, seed=seed)
     relation = relation_from_rows(
         DATASETS[DATASET].header, list(workload.static_rows)
     )
-    discoverer = DCDiscoverer(relation)
+    discoverer = DCDiscoverer(relation, delete_strategy=delete_strategy)
     discoverer.fit()
     delta = list(workload.delta_rows)
     half = len(delta) // 2

@@ -40,10 +40,6 @@ class TestLifecycle:
     def test_invalid_config(self, staff):
         with pytest.raises(ValueError, match="delete_strategy"):
             DCDiscoverer(staff, delete_strategy="bogus")
-        with pytest.raises(ValueError, match="maintain_tuple_index"):
-            DCDiscoverer(
-                staff, delete_strategy="index", maintain_tuple_index=False
-            )
 
     def test_dcs_are_denial_constraints(self, staff):
         discoverer = DCDiscoverer(staff)

@@ -124,16 +124,18 @@ class TestByteIdenticalState:
     evidence index in one comparison."""
 
     def test_static_build(self):
-        assert state_to_bytes(_fitted("python")) == state_to_bytes(
-            _fitted("numpy")
-        )
+        assert state_to_bytes(
+            _fitted("python", delete_strategy="index")
+        ) == state_to_bytes(_fitted("numpy", delete_strategy="index"))
 
     @pytest.mark.parametrize("infer_within_delta", [True, False])
     def test_insert_both_collection_strategies(self, infer_within_delta):
         states = {}
         for backend in ("python", "numpy"):
             discoverer = _fitted(
-                backend, infer_within_delta=infer_within_delta
+                backend,
+                infer_within_delta=infer_within_delta,
+                delete_strategy="index",
             )
             discoverer.insert(list(MIXED_DELTA))
             states[backend] = state_to_bytes(discoverer)
@@ -164,7 +166,7 @@ class TestByteIdenticalState:
         states = {}
         counter_logs = {}
         for backend in ("python", "numpy"):
-            discoverer = _fitted(backend)
+            discoverer = _fitted(backend, delete_strategy="index")
             log = []
             for result in (
                 discoverer.insert(list(MIXED_DELTA)),

@@ -37,7 +37,7 @@ def fitted():
         (6, "Lou", 2003, 1),
     ]
     relation = relation_from_rows(["Id", "Name", "Hired", "Level"], rows)
-    discoverer = DCDiscoverer(relation)
+    discoverer = DCDiscoverer(relation, delete_strategy="index")
     discoverer.fit()
     return discoverer
 

@@ -113,7 +113,7 @@ def test_parallel_static_build_matches_serial():
     relation = relation_from_rows(
         DATASETS[DATASET].header, DATASETS[DATASET].rows(60, seed=0)
     )
-    serial = DCDiscoverer(relation)
+    serial = DCDiscoverer(relation, delete_strategy="index")
     serial.fit()
     parallel_state = build_evidence_state(
         relation, serial.space, maintain_tuple_index=True, workers=3
@@ -130,7 +130,10 @@ def test_parallel_static_build_matches_serial():
 
 
 def test_workers_zero_means_cpu_count():
-    assert _cycle_reports(0)[1] == _serial_cycle(**STRATEGIES[0])[1]
+    assert (
+        _cycle_reports(0, **STRATEGIES[0])[1]
+        == _serial_cycle(**STRATEGIES[0])[1]
+    )
 
 
 @needs_fork
@@ -185,7 +188,7 @@ def test_fork_unavailable_falls_back_to_serial(monkeypatch):
     the serial bytes."""
     monkeypatch.setattr(parallel, "fork_available", lambda: False)
     assert not should_parallelize(4, 100)
-    reports, state = _cycle_reports(4)
+    reports, state = _cycle_reports(4, **STRATEGIES[0])
     for report in reports:
         assert report.metric("parallel.batches", 0) == 0
     assert state == _serial_cycle(**STRATEGIES[0])[1]
@@ -212,7 +215,7 @@ def test_worker_death_mid_stripe_reruns_in_parent(fault_injector):
     relation = relation_from_rows(
         DATASETS[DATASET].header, list(workload.static_rows)
     )
-    discoverer = DCDiscoverer(relation, workers=2)
+    discoverer = DCDiscoverer(relation, workers=2, **STRATEGIES[0])
     assert discoverer.fit().report.metric("parallel.stripe_reruns", 0) == 0
     fault_injector.arm(WORKER_FAULT_POINT)
     try:
@@ -234,7 +237,7 @@ def test_every_worker_dead_degrades_to_serial(fault_injector):
     serial ``evidence.*`` counters."""
     fault_injector.arm(WORKER_FAULT_POINT)
     try:
-        reports, state = _cycle_reports(4)
+        reports, state = _cycle_reports(4, **STRATEGIES[0])
     finally:
         fault_injector.reset()
     serial_reports, serial_state = _serial_cycle(**STRATEGIES[0])

@@ -63,7 +63,9 @@ class TestRoundTrip:
             [(7, "Cy", 2004, 2, 1)]
         ).rids
 
-    def test_tuple_index_survives(self, fitted, tmp_path):
+    def test_tuple_index_survives(self, staff, tmp_path):
+        fitted = DCDiscoverer(staff, delete_strategy="index")
+        fitted.fit()
         path = tmp_path / "state.json"
         save_state(fitted, path)
         loaded = load_state(path)
@@ -158,6 +160,12 @@ class TestFormatValidation:
         assert issubclass(StateFormatError, ValueError)
         assert issubclass(StateVersionError, ValueError)
 
+    def test_unknown_config_key_raises_format_error(self, fitted):
+        payload = state_to_dict(fitted)
+        payload["config"]["shiny_new_knob"] = True
+        with pytest.raises(StateFormatError, match="shiny_new_knob"):
+            state_from_dict(payload)
+
     def test_payload_is_json_serializable(self, fitted):
         json.dumps(state_to_dict(fitted))
 
@@ -165,7 +173,7 @@ class TestFormatValidation:
         discoverer = DCDiscoverer(
             staff,
             cross_column_ratio=0.5,
-            delete_strategy="recompute",
+            delete_strategy="index",
             infer_within_delta=False,
         )
         discoverer.fit()
@@ -173,7 +181,7 @@ class TestFormatValidation:
         save_state(discoverer, path)
         loaded = load_state(path)
         assert loaded.cross_column_ratio == 0.5
-        assert loaded.delete_strategy == "recompute"
+        assert loaded.delete_strategy == "index"
         assert loaded.infer_within_delta is False
 
 
@@ -235,7 +243,7 @@ class TestStaleIndexAcrossRoundTrip:
 
         rng = random.Random(0)
         relation = relation_from_rows(["A", "B", "C"], random_rows(rng, 16))
-        discoverer = DCDiscoverer(relation)
+        discoverer = DCDiscoverer(relation, delete_strategy="index")
         discoverer.fit()
         discoverer.delete([1, 4, 7])  # leaves stale partner bits behind
         path = tmp_path / "stale.json"
@@ -249,6 +257,34 @@ class TestStaleIndexAcrossRoundTrip:
         )
         assert loaded.dc_masks == discoverer.dc_masks
 
+    def test_earlier_recompute_state_loads_without_its_index(self, tmp_path):
+        """States written while the index had its own config key carry
+        ``maintain_tuple_index`` and, under "recompute", an index whose
+        dead rows' entries no delete pruned.  Such a state loads without
+        the index, keeps maintaining, and saves."""
+        from repro.evidence import naive_evidence_set
+
+        rng = random.Random(0)
+        relation = relation_from_rows(["A", "B", "C"], random_rows(rng, 16))
+        # Those states came from a discoverer that kept the index but
+        # deleted by recompute.
+        earlier = DCDiscoverer(relation, delete_strategy="index")
+        earlier.fit()
+        earlier.delete_strategy = "recompute"
+        earlier.delete([1, 4, 7])
+        payload = state_to_dict(earlier)
+        payload["config"]["maintain_tuple_index"] = True
+        assert payload["tuple_index"]["owned"].keys() >= {"1", "4", "7"}
+
+        loaded = state_from_dict(payload)
+        assert loaded.engine_state.tuple_index is None
+        loaded.delete([2, 5])  # partners of the dead owners
+        path = tmp_path / "earlier.json"
+        save_state(loaded, path)
+        assert load_state(path).evidence_set == naive_evidence_set(
+            loaded.relation, loaded.space
+        )
+
     def test_repeated_sessions_with_mixed_updates(self, tmp_path):
         import random
 
@@ -256,7 +292,7 @@ class TestStaleIndexAcrossRoundTrip:
 
         rng = random.Random(1)
         relation = relation_from_rows(["A", "B", "C"], random_rows(rng, 14))
-        discoverer = DCDiscoverer(relation)
+        discoverer = DCDiscoverer(relation, delete_strategy="index")
         discoverer.fit()
         path = tmp_path / "sessions.json"
         for _ in range(3):

@@ -35,11 +35,7 @@ class TestEdgeShapes:
         assert loaded.evidence_set == discoverer.evidence_set
 
     def test_no_tuple_index_state(self, tmp_path):
-        discoverer = DCDiscoverer(
-            staff_relation(),
-            maintain_tuple_index=False,
-            delete_strategy="recompute",
-        )
+        discoverer = DCDiscoverer(staff_relation(), delete_strategy="recompute")
         discoverer.fit()
         path = tmp_path / "noindex.json"
         save_state(discoverer, path)
